@@ -502,6 +502,105 @@ TEST(ByteIdentityTest, InertGrayKnobsLeaveFailoverChaosGoldenUntouched) {
   CompareOrWriteGolden("failover_chaos_tiny.golden", rendered);
 }
 
+// ---------------------------------------------------------------------------
+// Engine-metrics golden
+// ---------------------------------------------------------------------------
+// One short fault-free YCSB+T cell per engine family, with Pareto delay
+// variance so votes, wounds and round-2 messages overtake the coordinator's
+// Begin. Each run renders its full-precision RunStats (every latency bit
+// pattern) followed by its sorted MetricsSnapshot, so a drift in any protocol
+// counter, abort-cause attribution or latency is a one-line diff.
+
+std::string RenderRunStats(const RunStats& s) {
+  std::string out;
+  char buf[160];
+  auto put = [&](const char* key, double v) {
+    std::snprintf(buf, sizeof(buf), "%s=%.17g\n", key, v);
+    out += buf;
+  };
+  put("committed_high", static_cast<double>(s.committed_high));
+  put("committed_low", static_cast<double>(s.committed_low));
+  put("aborted_attempts", static_cast<double>(s.aborted_attempts));
+  put("user_aborted", static_cast<double>(s.user_aborted));
+  put("failed", static_cast<double>(s.failed));
+  put("measured_seconds", s.measured_seconds);
+  for (double v : s.latencies_high_ms) put("lat_high", v);
+  for (double v : s.latencies_low_ms) put("lat_low", v);
+  for (const auto& [name, value] : s.metrics.counters) {
+    std::snprintf(buf, sizeof(buf), "c %s=%lld\n", name.c_str(),
+                  static_cast<long long>(value));
+    out += buf;
+  }
+  for (const auto& [name, value] : s.metrics.gauges) {
+    std::snprintf(buf, sizeof(buf), "g %s=%.17g\n", name.c_str(), value);
+    out += buf;
+  }
+  for (const auto& [name, h] : s.metrics.histograms) {
+    std::snprintf(buf, sizeof(buf), "h %s=%llu/%.17g\n", name.c_str(),
+                  static_cast<unsigned long long>(h.count), h.sum);
+    out += buf;
+  }
+  return out;
+}
+
+std::string RenderEngineMetrics() {
+  ExperimentConfig config = TinyConfig(40);
+  config.duration = Seconds(4);
+  config.drain = Seconds(4);
+  config.cluster.delay_variance_ratio = 0.35;
+  std::string out;
+  for (const System& system : FailoverSystems()) {
+    out += "== " + system.name + "\n";
+    out += RenderRunStats(RunOnce(config, system, TinyWorkload(), config.seed));
+  }
+  return out;
+}
+
+std::vector<std::string> SplitLines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+/// Natto's coordinators count their decisions like the other coordinators
+/// do; those counters are the only lines the golden may lack.
+bool IsNattoCoordinatorCounter(const std::string& line) {
+  return line.rfind("c natto.coord.s", 0) == 0 &&
+         (line.find(".commits=") != std::string::npos ||
+          line.find(".aborts=") != std::string::npos);
+}
+
+TEST(ByteIdentityTest, EngineMetricsMatchGolden) {
+  const std::string actual = RenderEngineMetrics();
+  const std::string path = GoldenPath("engines_metrics_tiny.golden");
+  if (std::getenv("NATTO_WRITE_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out.good()) << "cannot write golden " << path;
+    out << actual;
+    GTEST_SKIP() << "golden rewritten: " << path;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing golden file " << path;
+  std::stringstream golden;
+  golden << in.rdbuf();
+  // Subset comparison: every golden line, in order, and nothing else but
+  // the Natto coordinator counters.
+  const std::vector<std::string> want = SplitLines(golden.str());
+  size_t next = 0;
+  for (const std::string& line : SplitLines(actual)) {
+    if (next < want.size() && line == want[next]) {
+      ++next;
+      continue;
+    }
+    ASSERT_TRUE(IsNattoCoordinatorCounter(line))
+        << "line drifted from " << path << ": got '" << line
+        << "', expected '" << (next < want.size() ? want[next] : "<eof>")
+        << "'";
+  }
+  EXPECT_EQ(next, want.size()) << "golden lines missing from the run";
+}
+
 TEST(ByteIdentityTest, SerialParallelAndRerunTablesAreByteIdentical) {
   std::string serial1, serial2, parallel1, parallel2;
   RunAndRender("1", &serial1);
