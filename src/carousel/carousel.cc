@@ -7,30 +7,6 @@
 
 namespace natto::carousel {
 
-namespace {
-
-/// Keys of `keys` living on `partition`.
-std::vector<Key> LocalKeys(const std::vector<Key>& keys, int partition,
-                           const txn::Topology& topology) {
-  std::vector<Key> out;
-  for (Key k : keys) {
-    if (topology.PartitionOfKey(k) == partition) out.push_back(k);
-  }
-  return out;
-}
-
-std::vector<std::pair<Key, Value>> LocalWrites(
-    const std::vector<std::pair<Key, Value>>& writes, int partition,
-    const txn::Topology& topology) {
-  std::vector<std::pair<Key, Value>> out;
-  for (const auto& [k, v] : writes) {
-    if (topology.PartitionOfKey(k) == partition) out.emplace_back(k, v);
-  }
-  return out;
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // CarouselServer (basic-path partition leader)
 // ---------------------------------------------------------------------------
@@ -52,8 +28,8 @@ CarouselServer::CarouselServer(CarouselEngine* engine, int partition, int site,
 
 void CarouselServer::HandleReadPrepare(const WireTxn& txn) {
   const txn::Topology& topo = engine_->cluster()->topology();
-  std::vector<Key> reads = LocalKeys(txn.read_set, partition_, topo);
-  std::vector<Key> writes = LocalKeys(txn.write_set, partition_, topo);
+  std::vector<Key> reads = topo.LocalKeys(txn.read_set, partition_);
+  std::vector<Key> writes = topo.LocalKeys(txn.write_set, partition_);
 
   TxnId id = txn.id;
   net::NodeId coord = txn.coordinator;
@@ -81,7 +57,7 @@ void CarouselServer::HandleReadPrepare(const WireTxn& txn) {
     }
     auto* co = engine_->coordinator_by_node(coord);
     SendTo(coord, kMessageHeaderBytes, [co, id, partition, cause]() {
-      co->HandleVote(id, partition, /*replica=*/0, /*ok=*/false, {}, cause);
+      co->HandleVote(id, partition, /*ok=*/false, {}, cause);
     });
     return;
   }
@@ -108,13 +84,13 @@ void CarouselServer::HandleReadPrepare(const WireTxn& txn) {
   }
   auto* co = engine_->coordinator_by_node(coord);
   engine_->cluster()->group(partition_)->Propose(
-      payload_ids_.Next(),
+      payload_ids_->Next(),
       [this, co, coord, id, partition]() {
         if (obs::Tracer* tr = engine_->cluster()->tracer()) {
           tr->SpanEnd(id, "prepare", partition, TrueNow());
         }
         SendTo(coord, kMessageHeaderBytes, [co, id, partition]() {
-          co->HandleVote(id, partition, /*replica=*/0, /*ok=*/true);
+          co->HandleVote(id, partition, /*ok=*/true);
         });
       },
       [this, co, coord, id, partition](bool timed_out) {
@@ -127,7 +103,7 @@ void CarouselServer::HandleReadPrepare(const WireTxn& txn) {
         }
         prepared_.Remove(id);
         SendTo(coord, kMessageHeaderBytes, [co, id, partition, cause]() {
-          co->HandleVote(id, partition, /*replica=*/0, /*ok=*/false, {}, cause);
+          co->HandleVote(id, partition, /*ok=*/false, {}, cause);
         });
       });
 }
@@ -141,7 +117,7 @@ void CarouselServer::HandleCommit(TxnId id,
   // The commit decision is already fixed at the coordinator, so the write
   // data must eventually replicate even across leader changes.
   engine_->cluster()->group(partition_)->ProposeWithRetry(
-      payload_ids_.Next(), [this, id, writes = std::move(writes)]() {
+      payload_ids_->Next(), [this, id, writes = std::move(writes)]() {
         for (const auto& [k, v] : writes) kv_.Apply(k, v, id);
         prepared_.Remove(id);
         finished_.insert(id);
@@ -176,13 +152,12 @@ CarouselFastReplica::CarouselFastReplica(CarouselEngine* engine, int partition,
 
 void CarouselFastReplica::HandleReadPrepare(const WireTxn& txn) {
   const txn::Topology& topo = engine_->cluster()->topology();
-  std::vector<Key> reads = LocalKeys(txn.read_set, partition_, topo);
-  std::vector<Key> writes = LocalKeys(txn.write_set, partition_, topo);
+  std::vector<Key> reads = topo.LocalKeys(txn.read_set, partition_);
+  std::vector<Key> writes = topo.LocalKeys(txn.write_set, partition_);
 
   TxnId id = txn.id;
   auto* co = engine_->coordinator_by_node(txn.coordinator);
   int partition = partition_;
-  int replica = replica_;
 
   bool ok = !finished_.contains(id) && !prepared_.HasConflict(reads, writes);
   // A fast no vote is not yet an abort (the slow path may still prepare),
@@ -213,8 +188,8 @@ void CarouselFastReplica::HandleReadPrepare(const WireTxn& txn) {
            gw->HandleReadResults(id, partition, results);
          });
   SendTo(txn.coordinator, kMessageHeaderBytes + versions.size() * 8,
-         [co, id, partition, replica, ok, versions, cause]() {
-           co->HandleVote(id, partition, replica, ok, versions, cause);
+         [co, id, partition, ok, versions, cause]() {
+           co->HandleVote(id, partition, ok, versions, cause);
          });
 }
 
@@ -272,7 +247,7 @@ void CarouselFastReplica::HandleSlowPrepare(
     tr->SpanBegin(id, "slow_prepare", partition_, TrueNow());
   }
   engine_->cluster()->group(partition_)->Propose(
-      payload_ids_.Next(),
+      payload_ids_->Next(),
       [this, vote, id, partition]() {
         if (obs::Tracer* tr = engine_->cluster()->tracer()) {
           tr->SpanEnd(id, "slow_prepare", partition, TrueNow());
@@ -312,81 +287,72 @@ void CarouselFastReplica::HandleAbort(TxnId id) {
 
 CarouselCoordinator::CarouselCoordinator(CarouselEngine* engine, int site,
                                          sim::NodeClock clock)
-    : net::Node(engine->cluster()->transport(), site, clock),
-      engine_(engine),
-      payload_ids_(engine->NewPayloadAllocator()) {
+    : CoordinatorCore(engine->cluster(), site, clock,
+                      engine->NewPayloadAllocator(), "carousel",
+                      obs::AbortCause::kOccConflict),
+      engine_(engine) {
   obs::MetricsRegistry* m = engine->cluster()->metrics();
-  const std::string prefix = "carousel.coord.s" + std::to_string(site) + ".";
-  slow_path_starts_ = m->GetCounter(prefix + "slow_path_starts");
-  version_mismatches_ = m->GetCounter(prefix + "version_mismatches");
-  commits_ = m->GetCounter(prefix + "commits");
-  aborts_ = m->GetCounter(prefix + "aborts");
+  slow_path_starts_ = m->GetCounter(metric_prefix() + "slow_path_starts");
+  version_mismatches_ = m->GetCounter(metric_prefix() + "version_mismatches");
 }
 
 void CarouselCoordinator::HandleBegin(const WireTxn& txn,
                                       std::vector<int> participants) {
-  if (decided_.contains(txn.id)) return;
-  TxnState& st = txns_[txn.id];
-  st.txn = txn;
-  st.begun = true;
-  st.participants = std::move(participants);
+  CoordinatorTxn* st = Begin(txn.id, engine_->gateway_by_node(txn.client),
+                             std::move(participants));
+  if (st == nullptr) return;
+  st->txn = txn;
   MaybeDecide(txn.id);
 }
 
 void CarouselCoordinator::HandleVote(
-    TxnId id, int partition, int replica, bool ok,
+    TxnId id, int partition, bool ok,
     std::vector<std::pair<Key, uint64_t>> versions, obs::AbortCause cause) {
-  (void)replica;
-  if (decided_.contains(id)) return;
-  // Votes can overtake the Begin message under jitter: create state lazily.
-  auto it = txns_.try_emplace(id).first;
-  TxnState& st = it->second;
+  CoordinatorTxn* st = Lazy(id);
+  if (st == nullptr) return;
   if (ok) {
-    st.ok_votes[partition] += 1;
+    st->ok_votes[partition] += 1;
     if (engine_->options().fast_path) {
       // The fast path requires a *matching* quorum: all replicas must have
       // served the same versions, or some read was stale.
-      auto fv = st.fast_versions.find(partition);
-      if (fv == st.fast_versions.end()) {
-        st.fast_versions[partition] = std::move(versions);
+      auto fv = st->fast_versions.find(partition);
+      if (fv == st->fast_versions.end()) {
+        st->fast_versions[partition] = std::move(versions);
       } else if (fv->second != versions) {
         version_mismatches_->Inc();
-        st.version_mismatch.insert(partition);
+        st->version_mismatch.insert(partition);
         MaybeStartSlowPath(id, partition);
       }
     }
   } else if (engine_->options().fast_path) {
     // Fast quorum failed for this partition: fall back to leader-arbitrated
     // prepare instead of aborting outright.
-    st.fail_votes[partition] += 1;
+    st->fail_votes[partition] += 1;
     MaybeStartSlowPath(id, partition);
   } else {
-    st.any_fail = true;
-    if (st.fail_cause == obs::AbortCause::kNone) st.fail_cause = cause;
+    Fail(*st, cause);
   }
   MaybeDecide(id);
 }
 
 void CarouselCoordinator::MaybeStartSlowPath(TxnId id, int partition) {
-  auto it = txns_.find(id);
-  if (it == txns_.end()) return;
-  TxnState& st = it->second;
-  if (!st.begun || !st.have_writes) return;  // versions arrive with round 2
-  if (st.slow_pending.contains(partition) || st.slow_ok.contains(partition)) {
+  CoordinatorTxn* st = Find(id);
+  if (st == nullptr || !st->begun || !st->have_writes) {
+    return;  // versions arrive with round 2
+  }
+  if (st->slow_pending.contains(partition) || st->slow_ok.contains(partition)) {
     return;
   }
-  st.slow_pending.insert(partition);
+  st->slow_pending.insert(partition);
   slow_path_starts_->Inc();
   if (obs::Tracer* tr = engine_->cluster()->tracer()) {
     tr->SpanBegin(id, "slow_path", partition, TrueNow());
   }
   const txn::Topology& topo = engine_->cluster()->topology();
-  std::vector<Key> read_keys = LocalKeys(st.txn.read_set, partition, topo);
-  std::vector<Key> write_keys = LocalKeys(st.txn.write_set, partition, topo);
-  std::vector<std::pair<Key, uint64_t>> versions;
-  for (const auto& [k, v] : st.read_versions) {
-    if (topo.PartitionOfKey(k) == partition) versions.emplace_back(k, v);
-  }
+  std::vector<Key> read_keys = topo.LocalKeys(st->txn.read_set, partition);
+  std::vector<Key> write_keys = topo.LocalKeys(st->txn.write_set, partition);
+  std::vector<std::pair<Key, uint64_t>> versions =
+      topo.LocalEntries(st->read_versions, partition);
   auto* leader = engine_->fast_replica(partition, 0);
   SendTo(leader->id(), WireKeysBytes(read_keys.size() + write_keys.size()),
          [leader, id, coord = this->id(), versions, read_keys, write_keys]() {
@@ -397,19 +363,17 @@ void CarouselCoordinator::MaybeStartSlowPath(TxnId id, int partition) {
 
 void CarouselCoordinator::HandleSlowVote(TxnId id, int partition, bool ok,
                                          obs::AbortCause cause) {
-  auto it = txns_.find(id);
-  if (it == txns_.end()) return;
-  TxnState& st = it->second;
-  if (st.slow_pending.erase(partition) > 0) {
+  CoordinatorTxn* st = Find(id);
+  if (st == nullptr) return;
+  if (st->slow_pending.erase(partition) > 0) {
     if (obs::Tracer* tr = engine_->cluster()->tracer()) {
       tr->SpanEnd(id, "slow_path", partition, TrueNow());
     }
   }
   if (ok) {
-    st.slow_ok.insert(partition);
+    st->slow_ok.insert(partition);
   } else {
-    st.any_fail = true;
-    if (st.fail_cause == obs::AbortCause::kNone) st.fail_cause = cause;
+    Fail(*st, cause);
   }
   MaybeDecide(id);
 }
@@ -417,141 +381,90 @@ void CarouselCoordinator::HandleSlowVote(TxnId id, int partition, bool ok,
 void CarouselCoordinator::HandleCommitRequest(
     TxnId id, std::vector<std::pair<Key, Value>> writes,
     std::vector<std::pair<Key, uint64_t>> read_versions, bool user_abort) {
-  if (decided_.contains(id)) return;
-  auto it = txns_.try_emplace(id).first;
-  TxnState& st = it->second;
-  st.have_writes = true;
-  st.user_abort = user_abort;
-  st.writes = std::move(writes);
-  st.read_versions = std::move(read_versions);
-  if (user_abort) {
-    MaybeDecide(id);
-    return;
-  }
-  if (engine_->options().fast_path) {
-    for (const auto& [p, fails] : st.fail_votes) {
-      if (fails > 0) MaybeStartSlowPath(id, p);
+  CoordinatorTxn* st = Lazy(id);
+  if (st == nullptr) return;
+  st->have_writes = true;
+  st->user_abort = user_abort;
+  st->writes = std::move(writes);
+  st->read_versions = std::move(read_versions);
+  if (!user_abort) {
+    if (engine_->options().fast_path) {
+      for (const auto& [p, fails] : st->fail_votes) {
+        if (fails > 0) MaybeStartSlowPath(id, p);
+      }
+      for (int p : st->version_mismatch) MaybeStartSlowPath(id, p);
     }
-    for (int p : st.version_mismatch) MaybeStartSlowPath(id, p);
-  }
-  if (st.writes.empty()) {
-    st.own_replicated = true;
-  } else {
-    // Make the write data fault tolerant at the coordinator first.
-    int local_partition =
-        engine_->cluster()->topology().PartitionLedAt(site());
-    NATTO_CHECK(local_partition >= 0);
-    engine_->cluster()->group(local_partition)->Propose(
-        payload_ids_.Next(),
-        [this, id]() {
-          auto it2 = txns_.find(id);
-          if (it2 == txns_.end()) return;
-          it2->second.own_replicated = true;
+    if (st->writes.empty()) {
+      st->own_replicated = true;
+    } else {
+      // Make the write data fault tolerant at the coordinator first.
+      ProposeLocal(id, [this, id]() {
+        if (CoordinatorTxn* s = Find(id)) {
+          s->own_replicated = true;
           MaybeDecide(id);
-        },
-        [this, id](bool timed_out) {
-          auto it2 = txns_.find(id);
-          if (it2 == txns_.end()) return;
-          it2->second.any_fail = true;
-          it2->second.fail_cause = timed_out
-                                       ? obs::AbortCause::kLeaderFailover
-                                       : obs::AbortCause::kReplicationFailed;
-          MaybeDecide(id);
-        });
+        }
+      });
+    }
   }
   MaybeDecide(id);
 }
 
-void CarouselCoordinator::MaybeDecide(TxnId id) {
-  auto it = txns_.find(id);
-  if (it == txns_.end()) return;
-  TxnState& st = it->second;
-  if (!st.begun) return;  // need the client/participant info first
+void CarouselCoordinator::OnReplicationFailed(TxnId id,
+                                              obs::AbortCause cause) {
+  CoordinatorTxn* st = Find(id);
+  if (st == nullptr) return;
+  st->failed = true;
+  st->fail_cause = cause;
+  MaybeDecide(id);
+}
+
+void CarouselCoordinator::TryDecide(TxnId id, CoordinatorTxn& st) {
   if (st.user_abort) {
-    Decide(id, /*commit=*/false, "user abort", obs::AbortCause::kUserAbort);
+    Decide(id, /*commit=*/false, obs::AbortCause::kUserAbort);
     return;
   }
-  if (st.any_fail) {
-    Decide(id, /*commit=*/false, "prepare conflict",
-           st.fail_cause == obs::AbortCause::kNone
-               ? obs::AbortCause::kOccConflict
-               : st.fail_cause);
+  if (st.failed) {
+    Decide(id, /*commit=*/false, RefusalCause(st));
     return;
   }
   if (st.participants.empty() || !st.have_writes || !st.own_replicated) return;
-  if (engine_->options().fast_path) {
-    int full = engine_->cluster()->topology().num_replicas();
-    for (int p : st.participants) {
-      bool fast_ok = st.ok_votes.contains(p) && st.ok_votes[p] == full &&
+  const int full = engine_->cluster()->topology().num_replicas();
+  for (int p : st.participants) {
+    auto v = st.ok_votes.find(p);
+    if (engine_->options().fast_path) {
+      bool fast_ok = v != st.ok_votes.end() && v->second == full &&
                      !st.version_mismatch.contains(p);
       if (!fast_ok && !st.slow_ok.contains(p)) return;
-    }
-  } else {
-    for (int p : st.participants) {
-      auto v = st.ok_votes.find(p);
-      if (v == st.ok_votes.end() || v->second < 1) return;
+    } else if (v == st.ok_votes.end() || v->second < 1) {
+      return;
     }
   }
-  Decide(id, /*commit=*/true, "", obs::AbortCause::kNone);
+  Decide(id, /*commit=*/true, obs::AbortCause::kNone);
 }
 
-void CarouselCoordinator::Decide(TxnId id, bool commit,
-                                 const std::string& reason,
-                                 obs::AbortCause cause) {
-  auto it = txns_.find(id);
-  if (it == txns_.end()) return;
-  TxnState st = std::move(it->second);
-  txns_.erase(it);
-  decided_.insert(id);
-
-  (commit ? commits_ : aborts_)->Inc();
-  if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-    tr->Instant(id, commit ? "decide_commit" : "decide_abort", -1, TrueNow());
-  }
-
-  const txn::Topology& topo = engine_->cluster()->topology();
-
-  // Notify the client (transaction completion point).
-  auto* gw = engine_->gateway_by_node(st.txn.client);
-  txn::TxnOutcome outcome =
-      commit ? txn::TxnOutcome::kCommitted
-             : (st.user_abort ? txn::TxnOutcome::kUserAborted
-                              : txn::TxnOutcome::kAborted);
-  SendTo(st.txn.client, kMessageHeaderBytes,
-         [gw, id, outcome, reason, cause]() {
-           gw->HandleDecision(id, outcome, reason, cause);
-         });
-
+void CarouselCoordinator::FanOut(TxnId id, const CoordinatorTxn& st,
+                                 bool commit) {
   // Asynchronously commit/abort at the participants.
+  const txn::Topology& topo = engine_->cluster()->topology();
   for (int p : st.participants) {
+    auto send = [&](auto* node) {
+      if (commit) {
+        auto writes = topo.LocalEntries(st.writes, p);
+        SendTo(node->id(), WireKvBytes(writes.size()),
+               [node, id, writes]() { node->HandleCommit(id, writes); });
+      } else {
+        SendTo(node->id(), kMessageHeaderBytes,
+               [node, id]() { node->HandleAbort(id); });
+      }
+    };
     if (engine_->options().fast_path) {
       for (int r = 0; r < topo.num_replicas(); ++r) {
-        auto* rep = engine_->fast_replica(p, r);
-        if (commit) {
-          auto writes = LocalWrites(st.writes, p, topo);
-          SendTo(rep->id(), WireKvBytes(writes.size()),
-                 [rep, id, writes]() { rep->HandleCommit(id, writes); });
-        } else {
-          SendTo(rep->id(), kMessageHeaderBytes,
-                 [rep, id]() { rep->HandleAbort(id); });
-        }
+        send(engine_->fast_replica(p, r));
       }
     } else {
-      auto* srv = engine_->server(p);
-      if (commit) {
-        auto writes = LocalWrites(st.writes, p, topo);
-        SendTo(srv->id(), WireKvBytes(writes.size()),
-               [srv, id, writes]() { srv->HandleCommit(id, writes); });
-      } else {
-        SendTo(srv->id(), kMessageHeaderBytes,
-               [srv, id]() { srv->HandleAbort(id); });
-      }
+      send(engine_->server(p));
     }
   }
-  // The decision fan-out is latency-critical: push any batched envelopes onto
-  // the wire now instead of waiting for the max-delay timer. No-op when link
-  // batching is off.
-  transport()->Flush();
 }
 
 // ---------------------------------------------------------------------------
@@ -560,8 +473,7 @@ void CarouselCoordinator::Decide(TxnId id, bool commit,
 
 CarouselGateway::CarouselGateway(CarouselEngine* engine, int site,
                                  sim::NodeClock clock)
-    : net::Node(engine->cluster()->transport(), site, clock),
-      engine_(engine) {}
+    : GatewayCore(engine->cluster(), site, clock), engine_(engine) {}
 
 void CarouselGateway::StartTxn(const txn::TxnRequest& request,
                                txn::TxnCallback done) {
@@ -579,16 +491,10 @@ void CarouselGateway::StartTxn(const txn::TxnRequest& request,
   std::vector<int> participants =
       topo.Participants(request.read_set, request.write_set);
 
-  if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-    tr->TxnBegin(request.id, txn::PriorityLevel(request.priority), TrueNow());
-    tr->SpanBegin(request.id, "round1", /*partition=*/-1, TrueNow());
-  }
-
-  ClientTxn st;
-  st.request = request;
-  st.done = std::move(done);
+  txn::ClientTxn& st = Register(request, std::move(done),
+                                txn::PriorityLevel(request.priority),
+                                /*round1_span=*/true);
   st.awaiting.insert(participants.begin(), participants.end());
-  txns_[request.id] = std::move(st);
 
   SendTo(coord->id(),
          WireKeysBytes(request.read_set.size() + request.write_set.size()),
@@ -609,44 +515,16 @@ void CarouselGateway::StartTxn(const txn::TxnRequest& request,
   }
 }
 
-void CarouselGateway::HandleReadResults(TxnId id, int partition,
-                                        std::vector<txn::ReadResult> reads) {
-  auto it = txns_.find(id);
-  if (it == txns_.end()) return;  // already decided
-  ClientTxn& st = it->second;
-  if (st.awaiting.erase(partition) == 0) return;  // duplicate (fast path)
-  for (const txn::ReadResult& r : reads) st.reads[r.key] = r;
-  MaybeFinishRound1(id);
-}
-
-void CarouselGateway::MaybeFinishRound1(TxnId id) {
-  auto it = txns_.find(id);
-  if (it == txns_.end()) return;
-  ClientTxn& st = it->second;
-  if (!st.awaiting.empty() || st.sent_round2) return;
-  st.sent_round2 = true;
-  if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-    tr->SpanEnd(id, "round1", /*partition=*/-1, TrueNow());
-  }
-
-  // Reads ordered as declared in the request.
-  std::vector<txn::ReadResult> ordered;
-  ordered.reserve(st.request.read_set.size());
-  for (Key k : st.request.read_set) {
-    auto r = st.reads.find(k);
-    NATTO_CHECK(r != st.reads.end()) << "missing read result for key " << k;
-    ordered.push_back(r->second);
-  }
-
-  txn::WriteDecision d = st.request.compute_writes(ordered);
+void CarouselGateway::SendRound2(TxnId id, txn::ClientTxn& st,
+                                 const std::vector<txn::ReadResult>& ordered,
+                                 bool user_abort) {
   auto* coord = engine_->coordinator_at(site());
-  if (d.user_abort) {
+  if (user_abort) {
     SendTo(coord->id(), kMessageHeaderBytes, [coord, id]() {
       coord->HandleCommitRequest(id, {}, {}, /*user_abort=*/true);
     });
     return;
   }
-  st.writes = d.writes;
   // Versions of the reads the writes were computed from; the fast path's
   // slow fallback validates them at the partition leader.
   std::vector<std::pair<Key, uint64_t>> versions;
@@ -654,42 +532,13 @@ void CarouselGateway::MaybeFinishRound1(TxnId id) {
   for (const txn::ReadResult& r : ordered) {
     versions.emplace_back(r.key, r.version);
   }
-  SendTo(coord->id(), WireKvBytes(d.writes.size()) + versions.size() * 8,
-         [coord, id, writes = std::move(d.writes), versions]() {
+  // Round 2 is charged as a header-only message: the write values were never
+  // counted on the wire, and the goldens and benchmark ceilings pin that.
+  SendTo(coord->id(), kMessageHeaderBytes + versions.size() * 8,
+         [coord, id, writes = st.writes, versions]() {
            coord->HandleCommitRequest(id, writes, versions,
                                       /*user_abort=*/false);
          });
-}
-
-void CarouselGateway::HandleDecision(TxnId id, txn::TxnOutcome outcome,
-                                     std::string reason,
-                                     obs::AbortCause cause) {
-  auto it = txns_.find(id);
-  if (it == txns_.end()) return;
-  ClientTxn st = std::move(it->second);
-  txns_.erase(it);
-
-  if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-    const char* name = outcome == txn::TxnOutcome::kCommitted ? "committed"
-                       : outcome == txn::TxnOutcome::kUserAborted
-                           ? "user_aborted"
-                           : "aborted";
-    tr->TxnEnd(id, name, cause, TrueNow());
-  }
-
-  txn::TxnResult result;
-  result.outcome = outcome;
-  result.abort_reason = std::move(reason);
-  result.abort_cause =
-      outcome == txn::TxnOutcome::kCommitted ? obs::AbortCause::kNone : cause;
-  if (outcome == txn::TxnOutcome::kCommitted) {
-    for (Key k : st.request.read_set) {
-      auto r = st.reads.find(k);
-      if (r != st.reads.end()) result.reads.push_back(r->second);
-    }
-    result.writes = st.writes;
-  }
-  st.done(result);
 }
 
 // ---------------------------------------------------------------------------
@@ -697,7 +546,7 @@ void CarouselGateway::HandleDecision(TxnId id, txn::TxnOutcome outcome,
 // ---------------------------------------------------------------------------
 
 CarouselEngine::CarouselEngine(txn::Cluster* cluster, CarouselOptions options)
-    : cluster_(cluster), options_(options) {
+    : EngineCore(cluster, kPayloadIdBase), options_(options) {
   const txn::Topology& topo = cluster_->topology();
   for (int p = 0; p < topo.num_partitions(); ++p) {
     servers_.push_back(std::make_unique<CarouselServer>(
@@ -712,51 +561,18 @@ CarouselEngine::CarouselEngine(txn::Cluster* cluster, CarouselOptions options)
       }
     }
   }
-  int num_sites = topo.num_sites();
-  for (int s = 0; s < num_sites; ++s) {
-    coordinators_.push_back(std::make_unique<CarouselCoordinator>(
+  for (int s = 0; s < topo.num_sites(); ++s) {
+    coordinators_.Add(std::make_unique<CarouselCoordinator>(
         this, cluster_->CoordinatorSite(s), cluster_->MakeClock()));
-    gateways_.push_back(
+    gateways_.Add(
         std::make_unique<CarouselGateway>(this, s, cluster_->MakeClock()));
   }
-  // Node-id indexed lookup for message closures.
-  for (auto& c : coordinators_) coord_by_node_[c->id()] = c.get();
-  for (auto& g : gateways_) gateway_by_node_[g->id()] = g.get();
-}
-
-void CarouselEngine::Execute(const txn::TxnRequest& request,
-                             txn::TxnCallback done) {
-  NATTO_CHECK(request.origin_site >= 0 &&
-              request.origin_site < static_cast<int>(gateways_.size()));
-  gateways_[request.origin_site]->StartTxn(request, std::move(done));
 }
 
 Value CarouselEngine::DebugValue(Key key) {
   int p = cluster_->topology().PartitionOfKey(key);
   if (options_.fast_path) return fast_replicas_[p][0]->kv()->Get(key).value;
   return servers_[p]->kv()->Get(key).value;
-}
-
-uint64_t CarouselEngine::payload_ids_issued() const {
-  uint64_t total = 0;
-  for (const auto& s : servers_) total += s->payload_ids_.issued();
-  for (const auto& partition : fast_replicas_) {
-    for (const auto& r : partition) total += r->payload_ids_.issued();
-  }
-  for (const auto& c : coordinators_) total += c->payload_ids_.issued();
-  return total;
-}
-
-CarouselCoordinator* CarouselEngine::coordinator_by_node(net::NodeId node) {
-  auto it = coord_by_node_.find(node);
-  NATTO_CHECK(it != coord_by_node_.end());
-  return it->second;
-}
-
-CarouselGateway* CarouselEngine::gateway_by_node(net::NodeId node) {
-  auto it = gateway_by_node_.find(node);
-  NATTO_CHECK(it != gateway_by_node_.end());
-  return it->second;
 }
 
 }  // namespace natto::carousel

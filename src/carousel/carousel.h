@@ -16,6 +16,7 @@
 #include "store/kv_store.h"
 #include "store/prepared_set.h"
 #include "txn/cluster.h"
+#include "txn/engine_core.h"
 #include "txn/transaction.h"
 
 namespace natto::carousel {
@@ -39,8 +40,6 @@ struct WireTxn {
 };
 
 class CarouselEngine;
-class CarouselGateway;
-class CarouselCoordinator;
 
 /// Partition leader for the basic protocol: serves reads with OCC, prepares
 /// via Raft, applies committed writes after replicating them.
@@ -58,11 +57,9 @@ class CarouselServer : public net::Node {
   int partition() const { return partition_; }
 
  private:
-  friend class CarouselEngine;
-
   CarouselEngine* engine_;
   int partition_;
-  raft::PayloadIdAllocator payload_ids_;
+  raft::PayloadIdAllocator* payload_ids_;
   store::KvStore kv_;
   store::PreparedSet prepared_;
   std::unordered_set<TxnId> finished_;  // tombstones for late arrivals
@@ -97,12 +94,10 @@ class CarouselFastReplica : public net::Node {
   store::KvStore* kv() { return &kv_; }
 
  private:
-  friend class CarouselEngine;
-
   CarouselEngine* engine_;
   int partition_;
   int replica_;
-  raft::PayloadIdAllocator payload_ids_;
+  raft::PayloadIdAllocator* payload_ids_;
   store::KvStore kv_;
   store::PreparedSet prepared_;
   std::unordered_set<TxnId> finished_;
@@ -113,9 +108,30 @@ class CarouselFastReplica : public net::Node {
   obs::Counter* slow_stale_read_ = nullptr;
 };
 
+/// Coordinator-side state of one transaction.
+struct CoordinatorTxn : txn::CoordTxn {
+  WireTxn txn;
+  // Basic path: set of partitions that voted ok. Fast path: per-partition
+  // count of ok replica votes.
+  std::unordered_map<int, int> ok_votes;
+  // Fast path: partitions whose fast quorum failed (>=1 replica said no),
+  // and their slow-path state. Ordered: HandleCommitRequest walks these to
+  // start slow paths, so the message order must be partition order, not
+  // hash order.
+  std::map<int, int> fail_votes;
+  std::unordered_map<int, std::vector<std::pair<Key, uint64_t>>>
+      fast_versions;
+  std::set<int> version_mismatch;
+  std::unordered_set<int> slow_pending;
+  std::unordered_set<int> slow_ok;
+  bool have_writes = false;
+  bool own_replicated = false;
+  std::vector<std::pair<Key, uint64_t>> read_versions;
+};
+
 /// 2PC coordinator colocated with the clients of one datacenter; replicates
 /// write data through the local partition's Raft group before committing.
-class CarouselCoordinator : public net::Node {
+class CarouselCoordinator : public txn::CoordinatorCore<CoordinatorTxn> {
  public:
   CarouselCoordinator(CarouselEngine* engine, int site, sim::NodeClock clock);
 
@@ -128,7 +144,7 @@ class CarouselCoordinator : public net::Node {
   /// versions (otherwise some replica served a stale read and the slow path
   /// must re-validate at the leader). No votes carry the refusing server's
   /// abort cause so the decision can attribute the abort.
-  void HandleVote(TxnId id, int partition, int replica, bool ok,
+  void HandleVote(TxnId id, int partition, bool ok,
                   std::vector<std::pair<Key, uint64_t>> versions = {},
                   obs::AbortCause cause = obs::AbortCause::kNone);
 
@@ -145,157 +161,65 @@ class CarouselCoordinator : public net::Node {
                       obs::AbortCause cause = obs::AbortCause::kNone);
 
  private:
-  friend class CarouselEngine;
-
-  struct TxnState {
-    WireTxn txn;
-    /// Messages (votes) can overtake HandleBegin under network jitter;
-    /// state is created lazily and no decision is made until begun.
-    bool begun = false;
-    std::vector<int> participants;
-    // Basic path: set of partitions that voted ok. Fast path: per-partition
-    // count of ok replica votes.
-    std::unordered_map<int, int> ok_votes;
-    // Fast path: partitions whose fast quorum failed (>=1 replica said no),
-    // and their slow-path state. Ordered: MaybeDecide walks these to start
-    // slow paths, so the message order must be partition order, not hash
-    // order.
-    std::map<int, int> fail_votes;
-    std::unordered_map<int, std::vector<std::pair<Key, uint64_t>>>
-        fast_versions;
-    std::set<int> version_mismatch;
-    std::unordered_set<int> slow_pending;
-    std::unordered_set<int> slow_ok;
-    bool any_fail = false;  // basic path, or slow-path refusal
-    /// Cause of the first failed vote (first-wins; kNone until any_fail).
-    obs::AbortCause fail_cause = obs::AbortCause::kNone;
-    bool have_writes = false;
-    bool own_replicated = false;
-    bool user_abort = false;
-    bool decided = false;
-    std::vector<std::pair<Key, Value>> writes;
-    std::vector<std::pair<Key, uint64_t>> read_versions;
-  };
-
   void MaybeStartSlowPath(TxnId id, int partition);
-  void MaybeDecide(TxnId id);
-  void Decide(TxnId id, bool commit, const std::string& reason,
-              obs::AbortCause cause);
+  void TryDecide(TxnId id, CoordinatorTxn& st) override;
+  void FanOut(TxnId id, const CoordinatorTxn& st, bool commit) override;
+  void OnReplicationFailed(TxnId id, obs::AbortCause cause) override;
 
   CarouselEngine* engine_;
-  raft::PayloadIdAllocator payload_ids_;
-  std::unordered_map<TxnId, TxnState> txns_;
-  std::unordered_set<TxnId> decided_;  // ignore late messages
 
   // Registered under carousel.coord.s<site>.
   obs::Counter* slow_path_starts_ = nullptr;
   obs::Counter* version_mismatches_ = nullptr;
-  obs::Counter* commits_ = nullptr;
-  obs::Counter* aborts_ = nullptr;
 };
 
 /// Client-side library instance for one datacenter: issues read-and-prepare
 /// rounds, gathers reads, runs the client's write computation, and reports
 /// the outcome.
-class CarouselGateway : public net::Node {
+class CarouselGateway : public txn::GatewayCore<> {
  public:
   CarouselGateway(CarouselEngine* engine, int site, sim::NodeClock clock);
 
   void StartTxn(const txn::TxnRequest& request, txn::TxnCallback done);
 
-  void HandleReadResults(TxnId id, int partition,
-                         std::vector<txn::ReadResult> reads);
-  void HandleDecision(TxnId id, txn::TxnOutcome outcome, std::string reason,
-                      obs::AbortCause cause = obs::AbortCause::kNone);
-
  private:
-  friend class CarouselEngine;
-
-  struct ClientTxn {
-    txn::TxnRequest request;
-    txn::TxnCallback done;
-    std::unordered_set<int> awaiting;  // partitions with pending reads
-    std::unordered_map<Key, txn::ReadResult> reads;
-    std::vector<std::pair<Key, Value>> writes;
-    bool sent_round2 = false;
-  };
-
-  void MaybeFinishRound1(TxnId id);
+  void SendRound2(TxnId id, txn::ClientTxn& st,
+                  const std::vector<txn::ReadResult>& ordered,
+                  bool user_abort) override;
 
   CarouselEngine* engine_;
-  std::unordered_map<TxnId, ClientTxn> txns_;
 };
 
 /// Carousel (SIGMOD'18), the substrate Natto builds on and one of the
 /// paper's baselines. Implements the basic protocol and the fast protocol.
-class CarouselEngine : public txn::TxnEngine {
+class CarouselEngine
+    : public txn::EngineCore<CarouselGateway, CarouselCoordinator> {
  public:
   CarouselEngine(txn::Cluster* cluster, CarouselOptions options);
 
-  void Execute(const txn::TxnRequest& request, txn::TxnCallback done) override;
   std::string name() const override {
     return options_.fast_path ? "Carousel Fast" : "Carousel Basic";
   }
 
-  txn::Cluster* cluster() { return cluster_; }
   const CarouselOptions& options() const { return options_; }
 
   CarouselServer* server(int partition) { return servers_[partition].get(); }
   CarouselFastReplica* fast_replica(int partition, int replica) {
     return fast_replicas_[partition][replica].get();
   }
-  CarouselCoordinator* coordinator_at(int site) {
-    return coordinators_[site].get();
-  }
-  CarouselGateway* gateway_at(int site) { return gateways_[site].get(); }
 
   /// Test hook: committed value at the partition leader (fast path: replica
   /// 0).
   Value DebugValue(Key key) override;
 
-  /// Node-id lookups used by message closures.
-  CarouselCoordinator* coordinator_by_node(net::NodeId node);
-  CarouselGateway* gateway_by_node(net::NodeId node);
-
-  /// First replication payload id this engine family issues; each family
-  /// uses a distinct range so mixed-engine Raft logs stay readable.
+  /// First replication payload id this engine family issues.
   static constexpr uint64_t kPayloadIdBase = 1;
 
-  /// Hands the next dense payload-id stripe to a proposing node (servers,
-  /// fast replicas and coordinators call this from their constructors, on
-  /// the main thread). Per-node striping replaces the old engine-wide
-  /// `next_id++` counter, which proposers on different site lanes would
-  /// race on under the site-parallel kernel. Must stay per-instance (not a
-  /// process-wide static): two engines in one process would otherwise share
-  /// stripes.
-  raft::PayloadIdAllocator NewPayloadAllocator() {
-    return raft::PayloadIdAllocator(kPayloadIdBase, payload_stripes_++);
-  }
-
-  /// Stripes handed out so far (test hook for the isolation invariant).
-  uint32_t payload_stripes() const { return payload_stripes_; }
-
-  /// Total replication payload ids issued across this engine's proposers
-  /// (test hook: equal work on equal configs issues equal totals, and a
-  /// fresh engine always starts at zero).
-  uint64_t payload_ids_issued() const;
-
  private:
-  friend class CarouselServer;
-  friend class CarouselFastReplica;
-  friend class CarouselCoordinator;
-  friend class CarouselGateway;
-
-  txn::Cluster* cluster_;
   CarouselOptions options_;
   std::vector<std::unique_ptr<CarouselServer>> servers_;  // basic path
   std::vector<std::vector<std::unique_ptr<CarouselFastReplica>>>
       fast_replicas_;  // fast path
-  std::vector<std::unique_ptr<CarouselCoordinator>> coordinators_;  // per site
-  std::vector<std::unique_ptr<CarouselGateway>> gateways_;          // per site
-  std::unordered_map<net::NodeId, CarouselCoordinator*> coord_by_node_;
-  std::unordered_map<net::NodeId, CarouselGateway*> gateway_by_node_;
-  uint32_t payload_stripes_ = 0;
 };
 
 }  // namespace natto::carousel

@@ -9,15 +9,6 @@ namespace natto::core {
 
 namespace {
 
-std::vector<Key> LocalKeys(const std::vector<Key>& keys, int partition,
-                           const txn::Topology& topology) {
-  std::vector<Key> out;
-  for (Key k : keys) {
-    if (topology.PartitionOfKey(k) == partition) out.push_back(k);
-  }
-  return out;
-}
-
 bool Overlaps(const std::vector<Key>& a, const std::vector<Key>& b) {
   for (Key x : a) {
     for (Key y : b) {
@@ -116,8 +107,8 @@ void NattoServer::HandleReadPrepare(const NattoWireTxn& txn) {
   const txn::Topology& topo = engine_->cluster()->topology();
   TxnState st;
   st.txn = txn;
-  st.local_reads = LocalKeys(txn.read_set, partition_, topo);
-  st.local_writes = LocalKeys(txn.write_set, partition_, topo);
+  st.local_reads = topo.LocalKeys(txn.read_set, partition_);
+  st.local_writes = topo.LocalKeys(txn.write_set, partition_);
 
   if (finished_.contains(txn.id)) {
     stats_.stale_retries->Inc();
@@ -129,7 +120,6 @@ void NattoServer::HandleReadPrepare(const NattoWireTxn& txn) {
     v.id = txn.id;
     v.partition = partition_;
     v.ok = false;
-    v.reason = "transaction already finished here";
     v.cause = obs::AbortCause::kStaleRetry;
     auto* co = engine_->coordinator_by_node(txn.coordinator);
     SendTo(txn.coordinator, kMessageHeaderBytes, [co, v]() { co->HandleVote(v); });
@@ -166,7 +156,6 @@ void NattoServer::Enqueue(TxnState st) {
       v.id = w.id;
       v.partition = partition_;
       v.ok = false;
-      v.reason = "timestamp order violation (late arrival)";
       v.cause = obs::AbortCause::kOrderViolation;
       auto* co = engine_->coordinator_by_node(w.coordinator);
       SendTo(w.coordinator, kMessageHeaderBytes,
@@ -199,7 +188,7 @@ void NattoServer::Enqueue(TxnState st) {
         if (it == queue_.end()) continue;
         TxnState victim = std::move(it->second);
         queue_.erase(it);
-        PriorityAbort(victim, "higher-priority arrival");
+        PriorityAbort(victim);
       }
     }
     {
@@ -220,7 +209,7 @@ void NattoServer::Enqueue(TxnState st) {
         return false;
       };
       if (blocked_by_higher(queue_) || blocked_by_higher(waiting_)) {
-        PriorityAbort(st, "conflicting higher-priority pending");
+        PriorityAbort(st);
         return;
       }
     }
@@ -273,7 +262,6 @@ void NattoServer::ProcessTxn(TxnState st) {
       v.id = st.txn.id;
       v.partition = partition_;
       v.ok = false;
-      v.reason = "OCC conflict";
       v.cause = obs::AbortCause::kOccConflict;
       auto* co = engine_->coordinator_by_node(st.txn.coordinator);
       SendTo(st.txn.coordinator, kMessageHeaderBytes,
@@ -360,7 +348,7 @@ void NattoServer::PrepareNow(TxnState st, bool conditional,
   // replication completes so it reflects the *current* conditional state:
   // a condition may resolve (or fail) while the prepare is replicating.
   engine_->cluster()->group(partition_)->Propose(
-      payload_ids_.Next(),
+      payload_ids_->Next(),
       [this, id, version, coord, span_name]() {
         if (obs::Tracer* tr = engine_->cluster()->tracer()) {
           tr->SpanEnd(id, span_name, partition_, TrueNow());
@@ -393,7 +381,6 @@ void NattoServer::PrepareNow(TxnState st, bool conditional,
         vote.partition = partition_;
         vote.ok = false;
         vote.read_version = version;
-        vote.reason = "replication failed";
         vote.cause = timed_out ? obs::AbortCause::kLeaderFailover
                                : obs::AbortCause::kReplicationFailed;
         auto* co = engine_->coordinator_by_node(coord);
@@ -419,8 +406,7 @@ void NattoServer::ServeReads(TxnState& st) {
          });
 }
 
-void NattoServer::PriorityAbort(const TxnState& victim, const char* why) {
-  (void)why;
+void NattoServer::PriorityAbort(const TxnState& victim) {
   stats_.priority_aborts->Inc();
   if (obs::Tracer* tr = engine_->cluster()->tracer()) {
     tr->Instant(victim.txn.id, "priority_abort", partition_, TrueNow());
@@ -453,12 +439,12 @@ void NattoServer::HandleCommit(TxnId id,
     // coordinator, so make the writes visible before replicating them.
     complete(writes);
     engine_->cluster()->group(partition_)->ProposeWithRetry(
-        payload_ids_.Next(), []() {});
+        payload_ids_->Next(), []() {});
   } else {
     // The coordinator already reported the commit, so the write data must
     // eventually replicate even across leader changes.
     engine_->cluster()->group(partition_)->ProposeWithRetry(
-        payload_ids_.Next(),
+        payload_ids_->Next(),
         [complete, writes = std::move(writes)]() { complete(writes); });
   }
 }
@@ -585,10 +571,10 @@ bool NattoServer::EstimatePriorityAbortElsewhere(const TxnState& high,
   for (const auto& [p, high_arrival] : high.txn.est_arrivals) {
     if (p == partition_) continue;
     // Do both transactions touch partition p with a real conflict there?
-    std::vector<Key> hr = LocalKeys(high.txn.read_set, p, topo);
-    std::vector<Key> hw = LocalKeys(high.txn.write_set, p, topo);
-    std::vector<Key> lr = LocalKeys(low.txn.read_set, p, topo);
-    std::vector<Key> lw = LocalKeys(low.txn.write_set, p, topo);
+    std::vector<Key> hr = topo.LocalKeys(high.txn.read_set, p);
+    std::vector<Key> hw = topo.LocalKeys(high.txn.write_set, p);
+    std::vector<Key> lr = topo.LocalKeys(low.txn.read_set, p);
+    std::vector<Key> lw = topo.LocalKeys(low.txn.write_set, p);
     bool conflict = Overlaps(hw, lw) || Overlaps(hw, lr) || Overlaps(hr, lw);
     if (!conflict) continue;
     // The other server priority-aborts `low` if `high` arrives while `low`
@@ -655,185 +641,126 @@ void NattoServer::ForwardReadsRemote(const TxnState& high,
 
 NattoCoordinator::NattoCoordinator(NattoEngine* engine, int site,
                                    sim::NodeClock clock)
-    : net::Node(engine->cluster()->transport(), site, clock),
-      engine_(engine),
-      payload_ids_(engine->NewPayloadAllocator()) {}
+    : CoordinatorCore(engine->cluster(), site, clock,
+                      engine->NewPayloadAllocator(), "natto"),
+      engine_(engine) {}
 
 void NattoCoordinator::HandleBegin(const NattoWireTxn& txn,
                                    std::vector<int> participants) {
-  if (decided_.contains(txn.id)) return;
-  TxnState& st = txns_[txn.id];
-  st.txn = txn;
-  st.begun = true;
-  st.participants = std::move(participants);
-  if (st.priority_aborted) {
-    Decide(txn.id, /*commit=*/false, "priority abort",
-           obs::AbortCause::kPriorityAbort);
-    return;
+  if (Begin(txn.id, engine_->gateway_by_node(txn.client),
+            std::move(participants)) != nullptr) {
+    MaybeDecide(txn.id);
   }
-  if (st.failed) {
-    Decide(txn.id, /*commit=*/false, st.failed_reason, st.failed_cause);
-    return;
-  }
-  MaybeDecide(txn.id);
 }
 
 void NattoCoordinator::HandleVote(const NattoVote& vote) {
-  if (decided_.contains(vote.id)) return;
-  // Votes can overtake the Begin message under jitter: create state lazily.
-  auto it = txns_.try_emplace(vote.id).first;
-  TxnState& st = it->second;
-  if (!vote.ok) {
-    st.failed = true;
-    st.failed_reason = vote.reason;
-    st.failed_cause = vote.cause;
-    if (st.begun) Decide(vote.id, /*commit=*/false, vote.reason, vote.cause);
-    return;
+  CoordinatorTxn* st = Lazy(vote.id);
+  if (st == nullptr) return;
+  if (vote.ok) {
+    VoteState& vs = st->votes[vote.partition];
+    vs.have = true;
+    vs.version = vote.read_version;
+    vs.conditional = vote.conditional;
+  } else {
+    st->failed = true;
+    st->fail_cause = vote.cause;
   }
-  VoteState& vs = st.votes[vote.partition];
-  vs.have = true;
-  vs.ok = true;
-  vs.version = vote.read_version;
-  vs.conditional = vote.conditional;
-  vs.condition_failed = false;
   MaybeDecide(vote.id);
 }
 
 void NattoCoordinator::HandleConditionResolved(TxnId id, int partition,
                                                bool satisfied) {
-  if (decided_.contains(id)) return;
-  auto it = txns_.try_emplace(id).first;
-  TxnState& st = it->second;
-  VoteState& vs = st.votes[partition];
-  if (satisfied) {
-    vs.conditional = false;
-  } else {
-    // Discard the conditional vote; the server re-runs the normal path and
-    // will vote again with a fresh read version.
-    vs.have = false;
-    vs.ok = false;
-    vs.conditional = false;
-  }
+  CoordinatorTxn* st = Lazy(id);
+  if (st == nullptr) return;
+  VoteState& vs = st->votes[partition];
+  vs.conditional = false;
+  // A failed condition discards the vote; the server re-runs the normal
+  // path and will vote again with a fresh read version.
+  if (!satisfied) vs.have = false;
   MaybeDecide(id);
 }
 
 void NattoCoordinator::HandlePriorityAbort(TxnId id) {
-  if (decided_.contains(id)) return;
-  auto it = txns_.try_emplace(id).first;
-  if (!it->second.begun) {
-    it->second.priority_aborted = true;
-    return;
-  }
-  Decide(id, /*commit=*/false, "priority abort",
-         obs::AbortCause::kPriorityAbort);
+  CoordinatorTxn* st = Lazy(id);
+  if (st == nullptr) return;
+  st->priority_aborted = true;
+  MaybeDecide(id);
 }
 
 void NattoCoordinator::HandleRound2(TxnId id,
                                     std::vector<std::pair<Key, Value>> writes,
                                     std::vector<std::pair<int, int>> versions,
                                     bool user_abort) {
-  if (decided_.contains(id)) return;
-  auto it = txns_.try_emplace(id).first;
-  TxnState& st = it->second;
+  CoordinatorTxn* st = Lazy(id);
+  if (st == nullptr) return;
   if (user_abort) {
-    st.user_abort = true;
-    if (st.begun) {
-      Decide(id, /*commit=*/false, "user abort", obs::AbortCause::kUserAbort);
-    }
-    return;
-  }
-  st.have_writes = true;
-  st.writes = std::move(writes);
-  st.round2_versions.clear();
-  for (const auto& [p, v] : versions) st.round2_versions[p] = v;
-  int generation = ++st.round2_generation;
-  if (st.writes.empty()) {
-    st.replicated_version = generation;
+    st->user_abort = true;
     MaybeDecide(id);
     return;
   }
-  int local_partition = engine_->cluster()->topology().PartitionLedAt(site());
-  NATTO_CHECK(local_partition >= 0);
-  engine_->cluster()->group(local_partition)->Propose(
-      payload_ids_.Next(),
-      [this, id, generation]() {
-        auto it2 = txns_.find(id);
-        if (it2 == txns_.end()) return;
-        if (generation >= it2->second.replicated_version) {
-          it2->second.replicated_version = generation;
-        }
-        MaybeDecide(id);
-      },
-      [this, id](bool timed_out) {
-        if (decided_.contains(id)) return;
-        auto it2 = txns_.find(id);
-        if (it2 == txns_.end()) return;
-        obs::AbortCause cause = timed_out ? obs::AbortCause::kLeaderFailover
-                                          : obs::AbortCause::kReplicationFailed;
-        if (!it2->second.begun) {
-          it2->second.failed = true;
-          it2->second.failed_reason = "replication failed";
-          it2->second.failed_cause = cause;
-          return;
-        }
-        Decide(id, /*commit=*/false, "replication failed", cause);
-      });
+  st->have_writes = true;
+  st->writes = std::move(writes);
+  st->round2_versions.clear();
+  for (const auto& [p, v] : versions) st->round2_versions[p] = v;
+  int generation = ++st->round2_generation;
+  if (st->writes.empty()) {
+    st->replicated_version = generation;
+    MaybeDecide(id);
+    return;
+  }
+  ProposeLocal(id, [this, id, generation]() {
+    CoordinatorTxn* s = Find(id);
+    if (s == nullptr) return;
+    if (generation >= s->replicated_version) {
+      s->replicated_version = generation;
+    }
+    MaybeDecide(id);
+  });
 }
 
-void NattoCoordinator::MaybeDecide(TxnId id) {
-  auto it = txns_.find(id);
-  if (it == txns_.end()) return;
-  TxnState& st = it->second;
-  if (!st.begun) return;
+void NattoCoordinator::OnReplicationFailed(TxnId id, obs::AbortCause cause) {
+  CoordinatorTxn* st = Find(id);
+  if (st == nullptr) return;
+  st->failed = true;
+  st->fail_cause = cause;
+  MaybeDecide(id);
+}
+
+void NattoCoordinator::TryDecide(TxnId id, CoordinatorTxn& st) {
+  if (st.priority_aborted) {
+    Decide(id, /*commit=*/false, obs::AbortCause::kPriorityAbort);
+    return;
+  }
+  if (st.failed) {
+    Decide(id, /*commit=*/false, RefusalCause(st));
+    return;
+  }
   if (st.user_abort) {
-    Decide(id, /*commit=*/false, "user abort", obs::AbortCause::kUserAbort);
+    Decide(id, /*commit=*/false, obs::AbortCause::kUserAbort);
     return;
   }
   if (st.participants.empty() || !st.have_writes) return;
   if (st.replicated_version < st.round2_generation) return;
   for (int p : st.participants) {
     auto v = st.votes.find(p);
-    if (v == st.votes.end() || !v->second.have || !v->second.ok) return;
+    if (v == st.votes.end() || !v->second.have) return;
     if (v->second.conditional) return;  // condition unresolved
     auto rv = st.round2_versions.find(p);
     if (rv == st.round2_versions.end() || rv->second != v->second.version) {
       return;  // client's writes were computed from superseded reads
     }
   }
-  Decide(id, /*commit=*/true, "", obs::AbortCause::kNone);
+  Decide(id, /*commit=*/true, obs::AbortCause::kNone);
 }
 
-void NattoCoordinator::Decide(TxnId id, bool commit, const std::string& reason,
-                              obs::AbortCause cause) {
-  auto it = txns_.find(id);
-  if (it == txns_.end()) return;
-  TxnState st = std::move(it->second);
-  txns_.erase(it);
-  decided_.insert(id);
-
+void NattoCoordinator::FanOut(TxnId id, const CoordinatorTxn& st,
+                              bool commit) {
   const txn::Topology& topo = engine_->cluster()->topology();
-
-  if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-    tr->Instant(id, commit ? "decide_commit" : "decide_abort", -1, TrueNow());
-  }
-
-  auto* gw = engine_->gateway_by_node(st.txn.client);
-  txn::TxnOutcome outcome =
-      commit ? txn::TxnOutcome::kCommitted
-             : (st.user_abort ? txn::TxnOutcome::kUserAborted
-                              : txn::TxnOutcome::kAborted);
-  SendTo(st.txn.client, kMessageHeaderBytes,
-         [gw, id, outcome, reason, cause]() {
-           gw->HandleDecision(id, outcome, reason, cause);
-         });
-
   for (int p : st.participants) {
     auto* srv = engine_->server(p);
     if (commit) {
-      std::vector<std::pair<Key, Value>> local;
-      for (const auto& [k, v] : st.writes) {
-        if (topo.PartitionOfKey(k) == p) local.emplace_back(k, v);
-      }
+      std::vector<std::pair<Key, Value>> local =
+          topo.LocalEntries(st.writes, p);
       SendTo(srv->id(), WireKvBytes(local.size()),
              [srv, id, local]() { srv->HandleCommit(id, local); });
     } else {
@@ -841,25 +768,23 @@ void NattoCoordinator::Decide(TxnId id, bool commit, const std::string& reason,
              [srv, id]() { srv->HandleAbort(id); });
     }
   }
-  // The decision fan-out is latency-critical: push any batched envelopes onto
-  // the wire now instead of waiting for the max-delay timer. No-op when link
-  // batching is off.
-  transport()->Flush();
+}
 
-  if (commit) {
-    // Keep committed write data available for RECSF readers.
-    committed_writes_[id] = st.writes;
-    auto pending = recsf_waiting_.find(id);
-    if (pending != recsf_waiting_.end()) {
-      for (const PendingRecsf& r : pending->second) ServeRecsf(r, st.writes);
-      recsf_waiting_.erase(pending);
-    }
-    // Bound the cache: drop the entry once it can no longer be useful.
-    TxnId done_id = id;
-    After(Seconds(10), [this, done_id]() { committed_writes_.erase(done_id); });
-  } else {
+void NattoCoordinator::AfterDecide(TxnId id, const CoordinatorTxn& st,
+                                   bool commit) {
+  if (!commit) {
     recsf_waiting_.erase(id);
+    return;
   }
+  // Keep committed write data available for RECSF readers.
+  committed_writes_[id] = st.writes;
+  auto pending = recsf_waiting_.find(id);
+  if (pending != recsf_waiting_.end()) {
+    for (const PendingRecsf& r : pending->second) ServeRecsf(r, st.writes);
+    recsf_waiting_.erase(pending);
+  }
+  // Bound the cache: drop the entry once it can no longer be useful.
+  After(Seconds(10), [this, id]() { committed_writes_.erase(id); });
 }
 
 void NattoCoordinator::HandleRecsfRead(TxnId writer, TxnId reader,
@@ -872,7 +797,7 @@ void NattoCoordinator::HandleRecsfRead(TxnId writer, TxnId reader,
                cw->second);
     return;
   }
-  if (txns_.contains(writer)) {
+  if (Find(writer) != nullptr) {
     recsf_waiting_[writer].push_back(PendingRecsf{
         reader, partition, std::move(keys), read_version, client});
   }
@@ -906,9 +831,15 @@ void NattoCoordinator::ServeRecsf(
 // NattoGateway
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Client-side delay-estimate refresh period (paper: 100 ms).
+constexpr SimDuration kEstimateRefresh = Millis(100);
+
+}  // namespace
+
 NattoGateway::NattoGateway(NattoEngine* engine, int site, sim::NodeClock clock)
-    : net::Node(engine->cluster()->transport(), site, clock),
-      engine_(engine) {
+    : GatewayCore(engine->cluster(), site, clock), engine_(engine) {
   obs::MetricsRegistry* reg = engine->cluster()->metrics();
   const std::string prefix = "natto.gateway.s" + std::to_string(site) + ".";
   refresh_fetches_metric_ = reg->GetCounter(prefix + "refresh_fetches");
@@ -938,7 +869,7 @@ void NattoGateway::RefreshTick() {
           for (const auto& [p, d] : ests) cached_estimates_[p] = d;
         });
   });
-  After(engine_->options().estimate_refresh, [this]() { RefreshTick(); });
+  After(kEstimateRefresh, [this]() { RefreshTick(); });
 }
 
 SimDuration NattoGateway::EstimatedOneWay(int partition) const {
@@ -995,17 +926,12 @@ void NattoGateway::StartTxn(const txn::TxnRequest& request,
     w.est_arrivals.emplace_back(p, now + est);
     max_est = std::max(max_est, est);
   }
-  w.ts = now + max_est + engine_->options().extra_ts_slack;
+  w.ts = now + max_est;
 
-  if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-    tr->TxnBegin(request.id, txn::PriorityLevel(w.priority), TrueNow());
-  }
-
-  ClientTxn st;
-  st.request = request;
-  st.done = std::move(done);
+  NattoClientTxn& st = Register(request, std::move(done),
+                                txn::PriorityLevel(w.priority),
+                                /*round1_span=*/false);
   st.participants = participants;
-  txns_[request.id] = std::move(st);
 
   SendTo(coord->id(),
          WireKeysBytes(request.read_set.size() + request.write_set.size()),
@@ -1022,95 +948,65 @@ void NattoGateway::StartTxn(const txn::TxnRequest& request,
 
 void NattoGateway::HandleReadResults(TxnId id, int partition, int read_version,
                                      std::vector<txn::ReadResult> reads) {
-  auto it = txns_.find(id);
-  if (it == txns_.end()) return;
-  ClientTxn& st = it->second;
-  PartitionReads& pr = st.reads[partition];
-  if (read_version < pr.version) return;  // stale
-  if (read_version > pr.version) {
-    pr.version = read_version;
-    pr.reads.clear();
+  NattoClientTxn* st = Find(id);
+  if (st == nullptr) return;
+  auto version = st->read_versions.try_emplace(partition, -1).first;
+  if (read_version < version->second) return;  // stale
+  if (read_version > version->second) {
+    version->second = read_version;
+    const txn::Topology& topo = engine_->cluster()->topology();
+    for (Key k : st->request.read_set) {
+      if (topo.PartitionOfKey(k) == partition) st->reads.erase(k);
+    }
   }
-  for (const txn::ReadResult& r : reads) pr.reads[r.key] = r;
+  for (const txn::ReadResult& r : reads) st->reads[r.key] = r;
   MaybeSendRound2(id);
 }
 
 void NattoGateway::MaybeSendRound2(TxnId id) {
-  auto it = txns_.find(id);
-  if (it == txns_.end()) return;
-  ClientTxn& st = it->second;
+  NattoClientTxn* st = Find(id);
+  if (st == nullptr) return;
   const txn::Topology& topo = engine_->cluster()->topology();
 
   // All participants must have delivered a complete read set (possibly
   // empty) for some version.
-  std::vector<txn::ReadResult> ordered;
-  std::vector<std::pair<int, int>> versions;
-  for (int p : st.participants) {
-    auto pr = st.reads.find(p);
-    if (pr == st.reads.end() || pr->second.version < 1) return;
-    for (Key k : st.request.read_set) {
+  int generation = 0;
+  for (int p : st->participants) {
+    auto version = st->read_versions.find(p);
+    if (version == st->read_versions.end() || version->second < 1) return;
+    for (Key k : st->request.read_set) {
       if (topo.PartitionOfKey(k) != p) continue;
-      if (!pr->second.reads.contains(k)) return;  // partial (RECSF half)
+      if (!st->reads.contains(k)) return;  // partial (RECSF half)
     }
-    versions.emplace_back(p, pr->second.version);
-  }
-  for (Key k : st.request.read_set) {
-    ordered.push_back(st.reads[topo.PartitionOfKey(k)].reads[k]);
+    generation += version->second;
   }
 
   // Skip if nothing changed since the last send.
-  int generation = 0;
-  for (const auto& [p, v] : versions) generation += v;
-  if (generation <= st.round2_sent_generation) return;
-  st.round2_sent_generation = generation;
+  if (generation <= st->round2_sent_generation) return;
+  st->round2_sent_generation = generation;
+  ComputeRound2(id, *st);
+}
 
-  txn::WriteDecision d = st.request.compute_writes(ordered);
+void NattoGateway::SendRound2(TxnId id, NattoClientTxn& st,
+                              const std::vector<txn::ReadResult>& /*ordered*/,
+                              bool user_abort) {
   auto* coord = engine_->coordinator_at(site());
-  if (d.user_abort) {
+  if (user_abort) {
     SendTo(coord->id(), kMessageHeaderBytes, [coord, id]() {
       coord->HandleRound2(id, {}, {}, /*user_abort=*/true);
     });
     return;
   }
-  st.writes = d.writes;
-  SendTo(coord->id(), WireKvBytes(d.writes.size()),
-         [coord, id, writes = std::move(d.writes), versions]() {
+  std::vector<std::pair<int, int>> versions;
+  for (int p : st.participants) {
+    versions.emplace_back(p, st.read_versions.find(p)->second);
+  }
+  // Round 2 is charged as a header-only message: the write values were never
+  // counted on the wire, and the goldens and benchmark ceilings pin that.
+  SendTo(coord->id(), kMessageHeaderBytes,
+         [coord, id, writes = st.writes, versions]() {
            coord->HandleRound2(id, writes, versions, /*user_abort=*/false);
          });
-}
-
-void NattoGateway::HandleDecision(TxnId id, txn::TxnOutcome outcome,
-                                  std::string reason, obs::AbortCause cause) {
-  auto it = txns_.find(id);
-  if (it == txns_.end()) return;
-  ClientTxn st = std::move(it->second);
-  txns_.erase(it);
-
-  if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-    const char* name = outcome == txn::TxnOutcome::kCommitted ? "committed"
-                       : outcome == txn::TxnOutcome::kUserAborted
-                           ? "user_aborted"
-                           : "aborted";
-    tr->TxnEnd(id, name, cause, TrueNow());
-  }
-
-  txn::TxnResult result;
-  result.outcome = outcome;
-  result.abort_reason = std::move(reason);
-  result.abort_cause =
-      outcome == txn::TxnOutcome::kCommitted ? obs::AbortCause::kNone : cause;
-  if (outcome == txn::TxnOutcome::kCommitted) {
-    const txn::Topology& topo = engine_->cluster()->topology();
-    for (Key k : st.request.read_set) {
-      auto pr = st.reads.find(topo.PartitionOfKey(k));
-      if (pr != st.reads.end()) {
-        auto r = pr->second.reads.find(k);
-        if (r != pr->second.reads.end()) result.reads.push_back(r->second);
-      }
-    }
-    result.writes = st.writes;
-  }
-  st.done(result);
 }
 
 // ---------------------------------------------------------------------------
@@ -1118,7 +1014,7 @@ void NattoGateway::HandleDecision(TxnId id, txn::TxnOutcome outcome,
 // ---------------------------------------------------------------------------
 
 NattoEngine::NattoEngine(txn::Cluster* cluster, NattoOptions options)
-    : cluster_(cluster), options_(options) {
+    : EngineCore(cluster, kPayloadIdBase), options_(options) {
   const txn::Topology& topo = cluster_->topology();
   for (int p = 0; p < topo.num_partitions(); ++p) {
     servers_.push_back(std::make_unique<NattoServer>(
@@ -1126,7 +1022,6 @@ NattoEngine::NattoEngine(txn::Cluster* cluster, NattoOptions options)
   }
   for (int s = 0; s < topo.num_sites(); ++s) {
     net::Prober::Options po;
-    po.probe_interval = options_.probe_interval;
     po.quantile = options_.estimate_quantile;
     proxies_.push_back(std::make_unique<net::Prober>(
         cluster_->transport(), s, cluster_->MakeClock(), po));
@@ -1134,21 +1029,12 @@ NattoEngine::NattoEngine(txn::Cluster* cluster, NattoOptions options)
       proxies_.back()->AddTarget(p, servers_[p].get());
     }
     proxies_.back()->Start();
-    coordinators_.push_back(std::make_unique<NattoCoordinator>(
+    coordinators_.Add(std::make_unique<NattoCoordinator>(
         this, cluster_->CoordinatorSite(s), cluster_->MakeClock()));
-    gateways_.push_back(
-        std::make_unique<NattoGateway>(this, s, cluster_->MakeClock()));
-    gateways_.back()->RefreshEstimates();
+    gateways_
+        .Add(std::make_unique<NattoGateway>(this, s, cluster_->MakeClock()))
+        ->RefreshEstimates();
   }
-  for (auto& c : coordinators_) coord_by_node_[c->id()] = c.get();
-  for (auto& g : gateways_) gateway_by_node_[g->id()] = g.get();
-}
-
-void NattoEngine::Execute(const txn::TxnRequest& request,
-                          txn::TxnCallback done) {
-  NATTO_CHECK(request.origin_site >= 0 &&
-              request.origin_site < static_cast<int>(gateways_.size()));
-  gateways_[request.origin_site]->StartTxn(request, std::move(done));
 }
 
 std::string NattoEngine::name() const {
@@ -1157,18 +1043,6 @@ std::string NattoEngine::name() const {
   if (options_.priority_abort) return "Natto-PA";
   if (options_.lecsf) return "Natto-LECSF";
   return "Natto-TS";
-}
-
-NattoCoordinator* NattoEngine::coordinator_by_node(net::NodeId node) {
-  auto it = coord_by_node_.find(node);
-  NATTO_CHECK(it != coord_by_node_.end());
-  return it->second;
-}
-
-NattoGateway* NattoEngine::gateway_by_node(net::NodeId node) {
-  auto it = gateway_by_node_.find(node);
-  NATTO_CHECK(it != gateway_by_node_.end());
-  return it->second;
 }
 
 SimDuration NattoEngine::MeanOneWay(int site_a, int site_b) const {
@@ -1195,13 +1069,6 @@ SimDuration NattoEngine::MajorityReplicationDelay(int partition) const {
 Value NattoEngine::DebugValue(Key key) {
   int p = cluster_->topology().PartitionOfKey(key);
   return servers_[p]->kv()->Get(key).value;
-}
-
-uint64_t NattoEngine::payload_ids_issued() const {
-  uint64_t total = 0;
-  for (const auto& s : servers_) total += s->payload_ids_.issued();
-  for (const auto& c : coordinators_) total += c->payload_ids_.issued();
-  return total;
 }
 
 NattoServer::Stats NattoEngine::TotalStats() const {

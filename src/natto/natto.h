@@ -11,11 +11,12 @@
 #include "net/node.h"
 #include "net/prober.h"
 #include "obs/abort_cause.h"
-#include "raft/raft.h"
 #include "obs/metrics.h"
+#include "raft/raft.h"
 #include "store/kv_store.h"
 #include "store/prepared_set.h"
 #include "txn/cluster.h"
+#include "txn/engine_core.h"
 #include "txn/transaction.h"
 
 namespace natto::core {
@@ -31,15 +32,6 @@ struct NattoOptions {
   /// PA refinement (Sec 3.3.1): skip aborting a low-priority transaction
   /// when it should complete before the high-priority one executes.
   bool pa_completion_estimate = true;
-
-  /// Safety margin added to every transaction timestamp.
-  SimDuration extra_ts_slack = 0;
-
-  /// Client-side delay-estimate refresh period (paper: 100 ms).
-  SimDuration estimate_refresh = Millis(100);
-
-  /// Proxy probe period (paper: 10 ms).
-  SimDuration probe_interval = Millis(10);
 
   /// Delay-estimator quantile (paper: p95 to avoid underestimating arrival
   /// times). The estimator ablation bench lowers this toward the mean.
@@ -83,7 +75,6 @@ struct NattoVote {
   int read_version = 0;          // matches the reads the client was served
   bool conditional = false;      // conditional prepare (Sec 3.3.2)
   TxnId condition_on = 0;        // ...on this txn being priority-aborted
-  std::string reason;
   /// Taxonomy cause when ok == false.
   obs::AbortCause cause = obs::AbortCause::kNone;
 };
@@ -122,8 +113,6 @@ class NattoServer : public net::Node {
   Stats stats() const;
 
  private:
-  friend class NattoEngine;
-
   struct TxnState {
     NattoWireTxn txn;
     std::vector<Key> local_reads;
@@ -150,7 +139,7 @@ class NattoServer : public net::Node {
   void ServeReads(TxnState& st);
 
   /// Priority-aborts a queued low-priority transaction.
-  void PriorityAbort(const TxnState& victim, const char* why);
+  void PriorityAbort(const TxnState& victim);
 
   /// Re-examines waiting high-priority transactions after a completion.
   void RescanWaiting();
@@ -173,7 +162,7 @@ class NattoServer : public net::Node {
 
   NattoEngine* engine_;
   int partition_;
-  raft::PayloadIdAllocator payload_ids_;
+  raft::PayloadIdAllocator* payload_ids_;
   store::KvStore kv_;
   store::PreparedSet prepared_;
 
@@ -201,9 +190,26 @@ class NattoServer : public net::Node {
   StatCounters stats_;
 };
 
+/// A participant's latest prepare vote, as the coordinator sees it.
+struct VoteState {
+  bool have = false;
+  int version = 0;
+  bool conditional = false;
+};
+
+/// Coordinator-side state of one transaction.
+struct CoordinatorTxn : txn::CoordTxn {
+  bool priority_aborted = false;  // PA notice arrived before Begin
+  std::unordered_map<int, VoteState> votes;
+  bool have_writes = false;
+  std::unordered_map<int, int> round2_versions;
+  int replicated_version = -1;  // round2 generation made durable
+  int round2_generation = 0;
+};
+
 /// Natto transaction coordinator: Carousel-style 2PC with conditional-vote
 /// resolution and RECSF read serving.
-class NattoCoordinator : public net::Node {
+class NattoCoordinator : public txn::CoordinatorCore<CoordinatorTxn> {
  public:
   NattoCoordinator(NattoEngine* engine, int site, sim::NodeClock clock);
 
@@ -222,36 +228,6 @@ class NattoCoordinator : public net::Node {
                        net::NodeId client);
 
  private:
-  friend class NattoEngine;
-
-  struct VoteState {
-    bool have = false;
-    bool ok = false;
-    int version = 0;
-    bool conditional = false;
-    bool condition_failed = false;
-    std::string reason;
-  };
-
-  struct TxnState {
-    NattoWireTxn txn;
-    /// Messages can overtake HandleBegin under network jitter; state is
-    /// created lazily and no decision is made until begun.
-    bool begun = false;
-    bool failed = false;            // a vote refused before Begin arrived
-    std::string failed_reason;
-    obs::AbortCause failed_cause = obs::AbortCause::kNone;
-    bool priority_aborted = false;  // PA notice arrived before Begin
-    std::vector<int> participants;
-    std::unordered_map<int, VoteState> votes;
-    bool have_writes = false;
-    bool user_abort = false;
-    std::vector<std::pair<Key, Value>> writes;
-    std::unordered_map<int, int> round2_versions;
-    int replicated_version = -1;  // round2 generation made durable
-    int round2_generation = 0;
-  };
-
   struct PendingRecsf {
     TxnId reader;
     int partition;
@@ -260,33 +236,38 @@ class NattoCoordinator : public net::Node {
     net::NodeId client;
   };
 
-  void MaybeDecide(TxnId id);
-  void Decide(TxnId id, bool commit, const std::string& reason,
-              obs::AbortCause cause);
+  void TryDecide(TxnId id, CoordinatorTxn& st) override;
+  void FanOut(TxnId id, const CoordinatorTxn& st, bool commit) override;
+  void AfterDecide(TxnId id, const CoordinatorTxn& st, bool commit) override;
+  void OnReplicationFailed(TxnId id, obs::AbortCause cause) override;
   void ServeRecsf(const PendingRecsf& req,
                   const std::vector<std::pair<Key, Value>>& writes);
 
   NattoEngine* engine_;
-  raft::PayloadIdAllocator payload_ids_;
-  std::unordered_map<TxnId, TxnState> txns_;
   /// Committed write data kept briefly for RECSF requests.
   std::unordered_map<TxnId, std::vector<std::pair<Key, Value>>> committed_writes_;
   std::unordered_map<TxnId, std::vector<PendingRecsf>> recsf_waiting_;
-  std::unordered_set<TxnId> decided_;
+};
+
+/// Client-side state of one attempt.
+struct NattoClientTxn : txn::ClientTxn {
+  std::vector<int> participants;
+  /// Latest read version each participant served; reads of an older
+  /// version are stale, a newer one replaces that partition's reads.
+  std::unordered_map<int, int> read_versions;
+  int round2_sent_generation = 0;
 };
 
 /// Client library for one datacenter: fetches delay estimates from the local
 /// proxy, assigns execution timestamps, and runs the interactive 2FI rounds
 /// (including re-execution when a conditional prepare fails).
-class NattoGateway : public net::Node {
+class NattoGateway : public txn::GatewayCore<NattoClientTxn> {
  public:
   NattoGateway(NattoEngine* engine, int site, sim::NodeClock clock);
 
   void StartTxn(const txn::TxnRequest& request, txn::TxnCallback done);
   void HandleReadResults(TxnId id, int partition, int read_version,
                          std::vector<txn::ReadResult> reads);
-  void HandleDecision(TxnId id, txn::TxnOutcome outcome, std::string reason,
-                      obs::AbortCause cause);
 
   /// Starts the periodic estimate-refresh loop from the proxy. Idempotent:
   /// a second call while the loop is running is a no-op (without the guard
@@ -306,23 +287,12 @@ class NattoGateway : public net::Node {
   }
 
  private:
-  friend class NattoEngine;
-
-  struct PartitionReads {
-    int version = -1;
-    std::unordered_map<Key, txn::ReadResult> reads;
-  };
-
-  struct ClientTxn {
-    txn::TxnRequest request;
-    txn::TxnCallback done;
-    std::vector<int> participants;
-    std::unordered_map<int, PartitionReads> reads;
-    std::vector<std::pair<Key, Value>> writes;
-    int round2_sent_generation = 0;
-  };
-
+  /// Re-runs round 2 whenever every participant has served a complete read
+  /// set and some read version moved since the last round 2.
   void MaybeSendRound2(TxnId id);
+  void SendRound2(TxnId id, NattoClientTxn& st,
+                  const std::vector<txn::ReadResult>& ordered,
+                  bool user_abort) override;
 
   /// One fetch of the refresh loop; reschedules itself.
   void RefreshTick();
@@ -332,7 +302,6 @@ class NattoGateway : public net::Node {
   bool AdmitPrioritized();
 
   NattoEngine* engine_;
-  std::unordered_map<TxnId, ClientTxn> txns_;
   std::unordered_map<int, SimDuration> cached_estimates_;  // partition -> ow
   bool refresh_running_ = false;
   obs::Counter* refresh_fetches_metric_;
@@ -343,27 +312,16 @@ class NattoGateway : public net::Node {
 
 /// Natto (SIGMOD'22): geo-distributed transaction processing with
 /// timestamp-based prioritization. The paper's primary contribution.
-class NattoEngine : public txn::TxnEngine {
+class NattoEngine : public txn::EngineCore<NattoGateway, NattoCoordinator> {
  public:
   NattoEngine(txn::Cluster* cluster, NattoOptions options);
 
-  void Execute(const txn::TxnRequest& request, txn::TxnCallback done) override;
   std::string name() const override;
 
-  txn::Cluster* cluster() { return cluster_; }
   const NattoOptions& options() const { return options_; }
 
   NattoServer* server(int partition) { return servers_[partition].get(); }
-  NattoCoordinator* coordinator_at(int site) {
-    return coordinators_[site].get();
-  }
-  NattoGateway* gateway_at(int site) { return gateways_[site].get(); }
   net::Prober* proxy_at(int site) { return proxies_[site].get(); }
-  NattoCoordinator* coordinator_by_node(net::NodeId node);
-  NattoGateway* gateway_by_node(net::NodeId node);
-  NattoServer* server_by_txn_partition(int partition) {
-    return servers_[partition].get();
-  }
 
   /// Mean one-way delay between sites as measured server-side (completion
   /// estimates, Sec 3.3.1). Backed by the latency matrix averages, which is
@@ -382,36 +340,13 @@ class NattoEngine : public txn::TxnEngine {
   /// families so mixed-engine Raft logs stay readable).
   static constexpr uint64_t kPayloadIdBase = 2'000'000'000ull;
 
-  /// Hands the next dense payload-id stripe to a proposing node (servers and
-  /// coordinators call this from their constructors, on the main thread).
-  /// Per-node striping replaces the old engine-wide `next_id++` counter,
-  /// which proposers on different site lanes would race on under the
-  /// site-parallel kernel. Must stay per-instance (not a process-wide
-  /// static): two engines in one process would otherwise share stripes.
-  raft::PayloadIdAllocator NewPayloadAllocator() {
-    return raft::PayloadIdAllocator(kPayloadIdBase, payload_stripes_++);
-  }
-
-  /// Stripes handed out so far (test hook for the isolation invariant).
-  uint32_t payload_stripes() const { return payload_stripes_; }
-
-  /// Total replication payload ids issued across this engine's proposers
-  /// (test hook: equal work on equal configs issues equal totals, and a
-  /// fresh engine always starts at zero).
-  uint64_t payload_ids_issued() const;
-
  private:
-  txn::Cluster* cluster_;
   NattoOptions options_;
   std::vector<std::unique_ptr<NattoServer>> servers_;
   std::vector<std::unique_ptr<net::Prober>> proxies_;
-  std::vector<std::unique_ptr<NattoCoordinator>> coordinators_;
-  std::vector<std::unique_ptr<NattoGateway>> gateways_;
-  std::unordered_map<net::NodeId, NattoCoordinator*> coord_by_node_;
-  std::unordered_map<net::NodeId, NattoGateway*> gateway_by_node_;
-  uint32_t payload_stripes_ = 0;
 };
 
 }  // namespace natto::core
 
 #endif  // NATTO_NATTO_NATTO_H_
+

@@ -70,10 +70,11 @@ struct ParallelPhaseStats {
 ///     returns. Serial execution would have stopped after the calling
 ///     event; tests comparing against serial account for this.
 ///
-/// With `num_sites == 0` (degenerate mode, used by txn::Cluster until its
-/// engine stack is site-confined) the kernel keeps every event in the
-/// global queue and runs the literal serial loop on the calling thread;
-/// workers are never spawned and output is byte-identical by construction.
+/// With `num_sites == 0` (degenerate mode, used by txn::Cluster for
+/// configurations that are not site-parallel eligible) the kernel keeps
+/// every event in the global queue and runs the literal serial loop on the
+/// calling thread; workers are never spawned and output is byte-identical
+/// by construction.
 class ParallelKernel {
  public:
   ParallelKernel(Simulator* sim, const ParallelOptions& options);

@@ -24,8 +24,7 @@ struct ParallelOptions {
   int num_threads = 1;
   /// Site partitions owning their own CalendarQueue. 0 = degenerate mode:
   /// every event stays in the global queue and RunUntil executes the exact
-  /// serial loop, but through the kernel's dispatch path (used by Cluster,
-  /// whose engine stack is not yet site-confined).
+  /// serial loop, but through the kernel's dispatch path.
   int num_sites = 0;
   /// Conservative PDES lookahead: a callback firing at time T on one site
   /// may schedule onto *another* site no earlier than T + lookahead. 0

@@ -9,14 +9,12 @@ namespace natto::spanner {
 
 namespace {
 
-std::vector<Key> LocalKeys(const std::vector<Key>& keys, int partition,
-                           const txn::Topology& topology) {
-  std::vector<Key> out;
-  for (Key k : keys) {
-    if (topology.PartitionOfKey(k) == partition) out.push_back(k);
-  }
-  return out;
-}
+/// Deadlock safety net: a request still waiting after this long applies
+/// pure age-based wound-wait to its blockers, overriding the
+/// priority-suppression rules. Needed because POW's "is the holder waiting"
+/// predicate is partition-local, which leaves cross-partition cycles
+/// undetected (real deployments run a deadlock detector here).
+constexpr SimDuration kDeadlockProbe = Seconds(2);
 
 /// Wound-wait age comparison: smaller (ts, id) is older.
 bool Older(SimTime ts_a, TxnId id_a, SimTime ts_b, TxnId id_b) {
@@ -95,8 +93,7 @@ void SpannerServer::AcquireAll(TxnId id, const std::vector<Key>& keys,
     } else {
       ResolveBlockers(meta, res.blockers);
       if (!txns_.contains(id)) return;  // self got wounded during resolution
-      After(engine_->options().deadlock_probe,
-            [this, id, k]() { DeadlockProbe(id, k); });
+      After(kDeadlockProbe, [this, id, k]() { DeadlockProbe(id, k); });
     }
   }
   // This transaction may now be waiting; under POW that makes it eligible
@@ -122,8 +119,7 @@ void SpannerServer::DeadlockProbe(TxnId id, Key key) {
     }
   }
   if (still_blocked) {
-    After(engine_->options().deadlock_probe,
-          [this, id, key]() { DeadlockProbe(id, key); });
+    After(kDeadlockProbe, [this, id, key]() { DeadlockProbe(id, key); });
   }
 }
 
@@ -269,7 +265,7 @@ void SpannerServer::FinishPrepare(TxnId id) {
     return;
   }
   engine_->cluster()->group(partition_)->Propose(
-      payload_ids_.Next(), vote,
+      payload_ids_->Next(), vote,
       [this, id, coord = lt.meta.coordinator](bool timed_out) {
         // Prepare record lost to a leader failure: vote no and let the
         // coordinator's abort clean up our lock/txn state.
@@ -298,7 +294,7 @@ void SpannerServer::HandleCommit(TxnId id) {
   // The decision is already fixed, so the commit record must eventually
   // replicate even across leader changes.
   engine_->cluster()->group(partition_)->ProposeWithRetry(
-      payload_ids_.Next(), [this, id]() {
+      payload_ids_->Next(), [this, id]() {
         auto it2 = txns_.find(id);
         if (it2 == txns_.end()) return;
         for (const auto& [k, v] : it2->second.writes) kv_.Apply(k, v, id);
@@ -314,177 +310,108 @@ void SpannerServer::HandleAbort(TxnId id) {
   locks_.ReleaseAll(id);
 }
 
+
 // ---------------------------------------------------------------------------
 // SpannerCoordinator
 // ---------------------------------------------------------------------------
 
 SpannerCoordinator::SpannerCoordinator(SpannerEngine* engine, int site,
                                        sim::NodeClock clock)
-    : net::Node(engine->cluster()->transport(), site, clock),
-      engine_(engine),
-      payload_ids_(engine->NewPayloadAllocator()) {
-  obs::MetricsRegistry* m = engine->cluster()->metrics();
-  const std::string prefix = "spanner.coord.s" + std::to_string(site) + ".";
-  wounds_received_ = m->GetCounter(prefix + "wounds_received");
-  commits_ = m->GetCounter(prefix + "commits");
-  aborts_ = m->GetCounter(prefix + "aborts");
+    : CoordinatorCore(engine->cluster(), site, clock,
+                      engine->NewPayloadAllocator(), "spanner",
+                      obs::AbortCause::kWound),
+      engine_(engine) {
+  wounds_received_ =
+      engine->cluster()->metrics()->GetCounter(metric_prefix() +
+                                               "wounds_received");
 }
 
 void SpannerCoordinator::HandleBegin(const SpannerTxnMeta& meta,
                                      std::vector<int> participants) {
-  if (decided_.contains(meta.id)) return;
-  TxnState& st = txns_[meta.id];
-  st.meta = meta;
-  st.begun = true;
-  st.participants = std::move(participants);
-  if (early_wounds_.erase(meta.id) > 0 || st.wounded) {
-    // Wounded before the begin arrived (possible under jitter).
-    Decide(meta.id, /*commit=*/false, "wounded", obs::AbortCause::kWound);
-    return;
-  }
-  if (st.user_abort) {
-    Decide(meta.id, /*commit=*/false, "user abort",
-           obs::AbortCause::kUserAbort);
-    return;
-  }
-  if (st.any_fail) {
-    Decide(meta.id, /*commit=*/false, "prepare refused",
-           st.fail_cause == obs::AbortCause::kNone ? obs::AbortCause::kWound
-                                                   : st.fail_cause);
-    return;
-  }
-  if (st.have_round2 && !st.prepare_started) StartPrepareRound(meta.id);
-  MaybeCommit(meta.id);
+  CoordinatorTxn* st = Begin(meta.id, engine_->gateway_by_node(meta.client),
+                             std::move(participants));
+  if (st == nullptr) return;
+  st->meta = meta;
+  MaybeDecide(meta.id);
 }
 
 void SpannerCoordinator::HandleRound2(TxnId id,
                                       std::vector<std::pair<Key, Value>> writes,
                                       bool user_abort) {
-  if (decided_.contains(id)) return;
-  auto it = txns_.try_emplace(id).first;
-  TxnState& st = it->second;
-  st.have_round2 = true;
+  CoordinatorTxn* st = Lazy(id);
+  if (st == nullptr) return;
+  st->have_round2 = true;
   if (user_abort) {
-    st.user_abort = true;
-    if (st.begun) {
-      Decide(id, /*commit=*/false, "user abort", obs::AbortCause::kUserAbort);
-    }
-    return;
+    st->user_abort = true;
+  } else {
+    st->writes = std::move(writes);
   }
-  st.writes = std::move(writes);
-  if (st.begun) StartPrepareRound(id);
-}
-
-void SpannerCoordinator::StartPrepareRound(TxnId id) {
-  auto it = txns_.find(id);
-  if (it == txns_.end()) return;
-  TxnState& st = it->second;
-  st.prepare_started = true;
-  const txn::Topology& topo = engine_->cluster()->topology();
-  for (int p : st.participants) {
-    std::vector<std::pair<Key, Value>> local;
-    for (const auto& [k, v] : st.writes) {
-      if (topo.PartitionOfKey(k) == p) local.emplace_back(k, v);
-    }
-    auto* srv = engine_->server(p);
-    SpannerTxnMeta meta = st.meta;
-    SendTo(srv->id(), WireKvBytes(local.size()),
-           [srv, meta, local]() { srv->HandlePrepare(meta, local); });
-  }
-  MaybeCommit(id);
+  MaybeDecide(id);
 }
 
 void SpannerCoordinator::HandleVote(TxnId id, int partition, bool ok,
                                     obs::AbortCause cause) {
-  if (decided_.contains(id)) return;
-  auto it = txns_.try_emplace(id).first;
-  TxnState& st = it->second;
   if (!ok) {
-    st.any_fail = true;
-    if (st.fail_cause == obs::AbortCause::kNone) st.fail_cause = cause;
-    if (st.begun) {
-      Decide(id, /*commit=*/false, "prepare refused",
-             st.fail_cause == obs::AbortCause::kNone ? obs::AbortCause::kWound
-                                                     : st.fail_cause);
-    }
+    Refuse(id, cause);
     return;
   }
-  st.ok_votes.insert(partition);
+  CoordinatorTxn* st = Lazy(id);
+  if (st == nullptr) return;
+  st->ok_votes.insert(partition);
   MaybeCommit(id);
 }
 
 void SpannerCoordinator::HandleWound(TxnId id) {
-  if (decided_.contains(id)) return;
+  CoordinatorTxn* st = Lazy(id);
+  if (st == nullptr) return;
   wounds_received_->Inc();
-  auto it = txns_.find(id);
-  if (it == txns_.end()) {
-    early_wounds_.insert(id);
+  // A wound that overtakes Begin (possible under jitter) aborts the
+  // transaction as soon as Begin arrives.
+  Fail(*st, obs::AbortCause::kWound);
+  MaybeDecide(id);
+}
+
+void SpannerCoordinator::TryDecide(TxnId id, CoordinatorTxn& st) {
+  if (st.failed) {
+    Decide(id, /*commit=*/false, RefusalCause(st));
     return;
   }
-  if (!it->second.begun) {
-    it->second.wounded = true;
+  if (st.user_abort) {
+    Decide(id, /*commit=*/false, obs::AbortCause::kUserAbort);
     return;
   }
-  Decide(id, /*commit=*/false, "wounded", obs::AbortCause::kWound);
+  if (st.have_round2 && !st.prepare_started) {
+    st.prepare_started = true;
+    const txn::Topology& topo = engine_->cluster()->topology();
+    for (int p : st.participants) {
+      std::vector<std::pair<Key, Value>> local =
+          topo.LocalEntries(st.writes, p);
+      auto* srv = engine_->server(p);
+      SpannerTxnMeta meta = st.meta;
+      SendTo(srv->id(), WireKvBytes(local.size()),
+             [srv, meta, local]() { srv->HandlePrepare(meta, local); });
+    }
+  }
+  MaybeCommit(id);
 }
 
 void SpannerCoordinator::MaybeCommit(TxnId id) {
-  auto it = txns_.find(id);
-  if (it == txns_.end()) return;
-  TxnState& st = it->second;
-  if (!st.begun || !st.prepare_started) return;
-  if (st.ok_votes.size() != st.participants.size()) return;
-  if (st.writes.empty()) {
-    Decide(id, /*commit=*/true, "", obs::AbortCause::kNone);
-    return;
-  }
-  if (st.own_replicated) {
-    Decide(id, /*commit=*/true, "", obs::AbortCause::kNone);
+  CoordinatorTxn* st = Find(id);
+  if (st == nullptr || !st->begun || !st->prepare_started) return;
+  if (st->ok_votes.size() != st->participants.size()) return;
+  if (st->writes.empty()) {
+    Decide(id, /*commit=*/true, obs::AbortCause::kNone);
     return;
   }
   // Replicate the commit decision + write data at the coordinator, then
   // commit (the sequential step Carousel overlaps).
-  int local_partition = engine_->cluster()->topology().PartitionLedAt(site());
-  NATTO_CHECK(local_partition >= 0);
-  engine_->cluster()->group(local_partition)->Propose(
-      payload_ids_.Next(),
-      [this, id]() {
-        auto it2 = txns_.find(id);
-        if (it2 == txns_.end()) return;
-        it2->second.own_replicated = true;
-        Decide(id, /*commit=*/true, "", obs::AbortCause::kNone);
-      },
-      [this, id](bool timed_out) {
-        Decide(id, /*commit=*/false, "replication failed",
-               timed_out ? obs::AbortCause::kLeaderFailover
-                         : obs::AbortCause::kReplicationFailed);
-      });
+  ProposeLocal(id, [this, id]() {
+    Decide(id, /*commit=*/true, obs::AbortCause::kNone);
+  });
 }
 
-void SpannerCoordinator::Decide(TxnId id, bool commit,
-                                const std::string& reason,
-                                obs::AbortCause cause) {
-  auto it = txns_.find(id);
-  if (it == txns_.end()) return;
-  TxnState st = std::move(it->second);
-  txns_.erase(it);
-  decided_.insert(id);
-
-  (commit ? commits_ : aborts_)->Inc();
-  if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-    tr->Instant(id, commit ? "decide_commit" : "decide_abort", -1, TrueNow());
-  }
-
-  auto* gw = engine_->gateway_by_node(st.meta.client);
-  txn::TxnOutcome outcome =
-      commit ? txn::TxnOutcome::kCommitted
-             : (st.user_abort ? txn::TxnOutcome::kUserAborted
-                              : txn::TxnOutcome::kAborted);
-  SendTo(st.meta.client, kMessageHeaderBytes,
-         [gw, id, outcome, reason, cause]() {
-           gw->HandleDecision(id, outcome, reason, cause);
-         });
-
+void SpannerCoordinator::FanOut(TxnId id, const CoordinatorTxn& st,
+                                bool commit) {
   for (int p : st.participants) {
     auto* srv = engine_->server(p);
     if (commit) {
@@ -495,10 +422,6 @@ void SpannerCoordinator::Decide(TxnId id, bool commit,
              [srv, id]() { srv->HandleAbort(id); });
     }
   }
-  // The decision fan-out is latency-critical: push any batched envelopes onto
-  // the wire now instead of waiting for the max-delay timer. No-op when link
-  // batching is off.
-  transport()->Flush();
 }
 
 // ---------------------------------------------------------------------------
@@ -507,8 +430,7 @@ void SpannerCoordinator::Decide(TxnId id, bool commit,
 
 SpannerGateway::SpannerGateway(SpannerEngine* engine, int site,
                                sim::NodeClock clock)
-    : net::Node(engine->cluster()->transport(), site, clock),
-      engine_(engine) {}
+    : GatewayCore(engine->cluster(), site, clock), engine_(engine) {}
 
 void SpannerGateway::StartTxn(const txn::TxnRequest& request,
                               txn::TxnCallback done) {
@@ -526,17 +448,11 @@ void SpannerGateway::StartTxn(const txn::TxnRequest& request,
       topo.Participants(request.read_set, request.write_set);
   std::vector<int> read_partitions = topo.Participants(request.read_set, {});
 
-  if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-    tr->TxnBegin(request.id, txn::PriorityLevel(request.priority), TrueNow());
-    tr->SpanBegin(request.id, "round1", /*partition=*/-1, TrueNow());
-  }
-
-  ClientTxn st;
-  st.request = request;
-  st.done = std::move(done);
-  st.awaiting_reads.insert(read_partitions.begin(), read_partitions.end());
+  txn::ClientTxn& st = Register(request, std::move(done),
+                                txn::PriorityLevel(request.priority),
+                                /*round1_span=*/true);
+  st.awaiting.insert(read_partitions.begin(), read_partitions.end());
   TxnId id = request.id;
-  txns_[id] = std::move(st);
 
   SendTo(coord->id(), kMessageHeaderBytes, [coord, meta, participants]() {
     coord->HandleBegin(meta, participants);
@@ -547,84 +463,29 @@ void SpannerGateway::StartTxn(const txn::TxnRequest& request,
     return;
   }
   for (int p : read_partitions) {
-    std::vector<Key> keys = LocalKeys(request.read_set, p, topo);
+    std::vector<Key> keys = topo.LocalKeys(request.read_set, p);
     auto* srv = engine_->server(p);
     SendTo(srv->id(), WireKeysBytes(keys.size()),
            [srv, meta, keys]() { srv->HandleReadLock(meta, keys); });
   }
 }
 
-void SpannerGateway::HandleReadResults(TxnId id, int partition,
-                                       std::vector<txn::ReadResult> reads) {
-  auto it = txns_.find(id);
-  if (it == txns_.end()) return;
-  ClientTxn& st = it->second;
-  if (st.awaiting_reads.erase(partition) == 0) return;
-  for (const txn::ReadResult& r : reads) st.reads[r.key] = r;
-  MaybeFinishRound1(id);
-}
-
-void SpannerGateway::MaybeFinishRound1(TxnId id) {
-  auto it = txns_.find(id);
-  if (it == txns_.end()) return;
-  ClientTxn& st = it->second;
-  if (!st.awaiting_reads.empty() || st.sent_round2) return;
-  st.sent_round2 = true;
-  if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-    tr->SpanEnd(id, "round1", /*partition=*/-1, TrueNow());
-  }
-
-  std::vector<txn::ReadResult> ordered;
-  ordered.reserve(st.request.read_set.size());
-  for (Key k : st.request.read_set) {
-    auto r = st.reads.find(k);
-    NATTO_CHECK(r != st.reads.end());
-    ordered.push_back(r->second);
-  }
-  txn::WriteDecision d = st.request.compute_writes(ordered);
+void SpannerGateway::SendRound2(
+    TxnId id, txn::ClientTxn& st,
+    const std::vector<txn::ReadResult>& /*ordered*/, bool user_abort) {
   auto* coord = engine_->coordinator_at(site());
-  if (d.user_abort) {
+  if (user_abort) {
     SendTo(coord->id(), kMessageHeaderBytes, [coord, id]() {
       coord->HandleRound2(id, {}, /*user_abort=*/true);
     });
     return;
   }
-  st.writes = d.writes;
-  SendTo(coord->id(), WireKvBytes(d.writes.size()),
-         [coord, id, writes = std::move(d.writes)]() {
+  // Round 2 is charged as a header-only message: the write values were never
+  // counted on the wire, and the goldens and benchmark ceilings pin that.
+  SendTo(coord->id(), kMessageHeaderBytes,
+         [coord, id, writes = st.writes]() {
            coord->HandleRound2(id, writes, /*user_abort=*/false);
          });
-}
-
-void SpannerGateway::HandleDecision(TxnId id, txn::TxnOutcome outcome,
-                                    std::string reason,
-                                    obs::AbortCause cause) {
-  auto it = txns_.find(id);
-  if (it == txns_.end()) return;
-  ClientTxn st = std::move(it->second);
-  txns_.erase(it);
-
-  if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-    const char* name = outcome == txn::TxnOutcome::kCommitted ? "committed"
-                       : outcome == txn::TxnOutcome::kUserAborted
-                           ? "user_aborted"
-                           : "aborted";
-    tr->TxnEnd(id, name, cause, TrueNow());
-  }
-
-  txn::TxnResult result;
-  result.outcome = outcome;
-  result.abort_reason = std::move(reason);
-  result.abort_cause =
-      outcome == txn::TxnOutcome::kCommitted ? obs::AbortCause::kNone : cause;
-  if (outcome == txn::TxnOutcome::kCommitted) {
-    for (Key k : st.request.read_set) {
-      auto r = st.reads.find(k);
-      if (r != st.reads.end()) result.reads.push_back(r->second);
-    }
-    result.writes = st.writes;
-  }
-  st.done(result);
 }
 
 // ---------------------------------------------------------------------------
@@ -632,27 +493,18 @@ void SpannerGateway::HandleDecision(TxnId id, txn::TxnOutcome outcome,
 // ---------------------------------------------------------------------------
 
 SpannerEngine::SpannerEngine(txn::Cluster* cluster, SpannerOptions options)
-    : cluster_(cluster), options_(options) {
+    : EngineCore(cluster, kPayloadIdBase), options_(options) {
   const txn::Topology& topo = cluster_->topology();
   for (int p = 0; p < topo.num_partitions(); ++p) {
     servers_.push_back(std::make_unique<SpannerServer>(
         this, p, topo.LeaderSite(p), cluster_->MakeClock()));
   }
   for (int s = 0; s < topo.num_sites(); ++s) {
-    coordinators_.push_back(std::make_unique<SpannerCoordinator>(
+    coordinators_.Add(std::make_unique<SpannerCoordinator>(
         this, cluster_->CoordinatorSite(s), cluster_->MakeClock()));
-    gateways_.push_back(
+    gateways_.Add(
         std::make_unique<SpannerGateway>(this, s, cluster_->MakeClock()));
   }
-  for (auto& c : coordinators_) coord_by_node_[c->id()] = c.get();
-  for (auto& g : gateways_) gateway_by_node_[g->id()] = g.get();
-}
-
-void SpannerEngine::Execute(const txn::TxnRequest& request,
-                            txn::TxnCallback done) {
-  NATTO_CHECK(request.origin_site >= 0 &&
-              request.origin_site < static_cast<int>(gateways_.size()));
-  gateways_[request.origin_site]->StartTxn(request, std::move(done));
 }
 
 std::string SpannerEngine::name() const {
@@ -667,28 +519,9 @@ std::string SpannerEngine::name() const {
   return "2PL+2PC";
 }
 
-SpannerCoordinator* SpannerEngine::coordinator_by_node(net::NodeId node) {
-  auto it = coord_by_node_.find(node);
-  NATTO_CHECK(it != coord_by_node_.end());
-  return it->second;
-}
-
-SpannerGateway* SpannerEngine::gateway_by_node(net::NodeId node) {
-  auto it = gateway_by_node_.find(node);
-  NATTO_CHECK(it != gateway_by_node_.end());
-  return it->second;
-}
-
 Value SpannerEngine::DebugValue(Key key) {
   int p = cluster_->topology().PartitionOfKey(key);
   return servers_[p]->kv()->Get(key).value;
-}
-
-uint64_t SpannerEngine::payload_ids_issued() const {
-  uint64_t total = 0;
-  for (const auto& s : servers_) total += s->payload_ids_.issued();
-  for (const auto& c : coordinators_) total += c->payload_ids_.issued();
-  return total;
 }
 
 }  // namespace natto::spanner

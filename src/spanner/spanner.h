@@ -1,6 +1,7 @@
 #ifndef NATTO_SPANNER_SPANNER_H_
 #define NATTO_SPANNER_SPANNER_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -14,6 +15,7 @@
 #include "store/kv_store.h"
 #include "store/lock_table.h"
 #include "txn/cluster.h"
+#include "txn/engine_core.h"
 #include "txn/transaction.h"
 
 namespace natto::spanner {
@@ -29,13 +31,6 @@ enum class PreemptPolicy { kNone, kPreempt, kPreemptOnWait };
 
 struct SpannerOptions {
   PreemptPolicy policy = PreemptPolicy::kNone;
-
-  /// Deadlock safety net: a request still waiting after this long applies
-  /// pure age-based wound-wait to its blockers, overriding the
-  /// priority-suppression rules. Needed because POW's "is the holder
-  /// waiting" predicate is partition-local, which leaves cross-partition
-  /// cycles undetected (real deployments run a deadlock detector here).
-  SimDuration deadlock_probe = Seconds(2);
 };
 
 class SpannerEngine;
@@ -67,8 +62,6 @@ class SpannerServer : public net::Node {
   const store::LockTable& locks() const { return locks_; }
 
  private:
-  friend class SpannerEngine;
-
   struct LocalTxn {
     SpannerTxnMeta meta;
     int outstanding_grants = 0;
@@ -101,7 +94,7 @@ class SpannerServer : public net::Node {
 
   SpannerEngine* engine_;
   int partition_;
-  raft::PayloadIdAllocator payload_ids_;
+  raft::PayloadIdAllocator* payload_ids_;
   store::KvStore kv_;
   store::LockTable locks_;
   std::unordered_map<TxnId, LocalTxn> txns_;
@@ -113,8 +106,16 @@ class SpannerServer : public net::Node {
   obs::Counter* stale_vote_no_ = nullptr;
 };
 
+/// Coordinator-side state of one transaction.
+struct CoordinatorTxn : txn::CoordTxn {
+  SpannerTxnMeta meta;
+  std::unordered_set<int> ok_votes;
+  bool have_round2 = false;
+  bool prepare_started = false;
+};
+
 /// 2PC coordinator colocated with the client's datacenter.
-class SpannerCoordinator : public net::Node {
+class SpannerCoordinator : public txn::CoordinatorCore<CoordinatorTxn> {
  public:
   SpannerCoordinator(SpannerEngine* engine, int site, sim::NodeClock clock);
 
@@ -128,89 +129,43 @@ class SpannerCoordinator : public net::Node {
   void HandleWound(TxnId id);
 
  private:
-  friend class SpannerEngine;
-
-  struct TxnState {
-    SpannerTxnMeta meta;
-    /// Messages can overtake HandleBegin under network jitter; state is
-    /// created lazily and nothing outward happens until begun.
-    bool begun = false;
-    std::vector<int> participants;
-    std::unordered_set<int> ok_votes;
-    bool any_fail = false;
-    /// Cause of the first failed vote (first-wins; kNone until any_fail).
-    obs::AbortCause fail_cause = obs::AbortCause::kNone;
-    bool have_round2 = false;
-    bool prepare_started = false;
-    bool own_replicated = false;
-    bool user_abort = false;
-    bool wounded = false;
-    std::vector<std::pair<Key, Value>> writes;
-  };
-
-  void StartPrepareRound(TxnId id);
   void MaybeCommit(TxnId id);
-  void Decide(TxnId id, bool commit, const std::string& reason,
-              obs::AbortCause cause);
+  void TryDecide(TxnId id, CoordinatorTxn& st) override;
+  void FanOut(TxnId id, const CoordinatorTxn& st, bool commit) override;
 
   SpannerEngine* engine_;
-  raft::PayloadIdAllocator payload_ids_;
-  std::unordered_map<TxnId, TxnState> txns_;
-  std::unordered_set<TxnId> early_wounds_;
-  std::unordered_set<TxnId> decided_;
 
   // Registered under spanner.coord.s<site>.
   obs::Counter* wounds_received_ = nullptr;
-  obs::Counter* commits_ = nullptr;
-  obs::Counter* aborts_ = nullptr;
 };
 
 /// Client library: runs the sequential phases and reports the outcome.
-class SpannerGateway : public net::Node {
+class SpannerGateway : public txn::GatewayCore<> {
  public:
   SpannerGateway(SpannerEngine* engine, int site, sim::NodeClock clock);
 
   void StartTxn(const txn::TxnRequest& request, txn::TxnCallback done);
-  void HandleReadResults(TxnId id, int partition,
-                         std::vector<txn::ReadResult> reads);
-  void HandleDecision(TxnId id, txn::TxnOutcome outcome, std::string reason,
-                      obs::AbortCause cause = obs::AbortCause::kNone);
 
  private:
-  struct ClientTxn {
-    txn::TxnRequest request;
-    txn::TxnCallback done;
-    std::unordered_set<int> awaiting_reads;
-    std::unordered_map<Key, txn::ReadResult> reads;
-    std::vector<std::pair<Key, Value>> writes;
-    bool sent_round2 = false;
-  };
-
-  void MaybeFinishRound1(TxnId id);
+  void SendRound2(TxnId id, txn::ClientTxn& st,
+                  const std::vector<txn::ReadResult>& ordered,
+                  bool user_abort) override;
 
   SpannerEngine* engine_;
-  std::unordered_map<TxnId, ClientTxn> txns_;
 };
 
 /// Spanner-like 2PL+2PC baseline (sequential reads, 2PC, replication) with
 /// optional priority preemption.
-class SpannerEngine : public txn::TxnEngine {
+class SpannerEngine
+    : public txn::EngineCore<SpannerGateway, SpannerCoordinator> {
  public:
   SpannerEngine(txn::Cluster* cluster, SpannerOptions options);
 
-  void Execute(const txn::TxnRequest& request, txn::TxnCallback done) override;
   std::string name() const override;
 
-  txn::Cluster* cluster() { return cluster_; }
   const SpannerOptions& options() const { return options_; }
 
   SpannerServer* server(int partition) { return servers_[partition].get(); }
-  SpannerCoordinator* coordinator_at(int site) {
-    return coordinators_[site].get();
-  }
-  SpannerGateway* gateway_at(int site) { return gateways_[site].get(); }
-  SpannerCoordinator* coordinator_by_node(net::NodeId node);
-  SpannerGateway* gateway_by_node(net::NodeId node);
 
   Value DebugValue(Key key) override;
 
@@ -218,33 +173,9 @@ class SpannerEngine : public txn::TxnEngine {
   /// families so mixed-engine Raft logs stay readable).
   static constexpr uint64_t kPayloadIdBase = 1'000'000'000ull;
 
-  /// Hands the next dense payload-id stripe to a proposing node (servers
-  /// and coordinators call this from their constructors, on the main
-  /// thread). Per-node striping replaces the old engine-wide `next_id++`
-  /// counter, which proposers on different site lanes would race on under
-  /// the site-parallel kernel. Must stay per-instance (not a process-wide
-  /// static): two engines in one process would otherwise share stripes.
-  raft::PayloadIdAllocator NewPayloadAllocator() {
-    return raft::PayloadIdAllocator(kPayloadIdBase, payload_stripes_++);
-  }
-
-  /// Stripes handed out so far (test hook for the isolation invariant).
-  uint32_t payload_stripes() const { return payload_stripes_; }
-
-  /// Total replication payload ids issued across this engine's proposers
-  /// (test hook: equal work on equal configs issues equal totals, and a
-  /// fresh engine always starts at zero).
-  uint64_t payload_ids_issued() const;
-
  private:
-  txn::Cluster* cluster_;
   SpannerOptions options_;
   std::vector<std::unique_ptr<SpannerServer>> servers_;
-  std::vector<std::unique_ptr<SpannerCoordinator>> coordinators_;
-  std::vector<std::unique_ptr<SpannerGateway>> gateways_;
-  std::unordered_map<net::NodeId, SpannerCoordinator*> coord_by_node_;
-  std::unordered_map<net::NodeId, SpannerGateway*> gateway_by_node_;
-  uint32_t payload_stripes_ = 0;
 };
 
 }  // namespace natto::spanner

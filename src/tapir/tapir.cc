@@ -7,19 +7,6 @@
 
 namespace natto::tapir {
 
-namespace {
-
-std::vector<Key> LocalKeys(const std::vector<Key>& keys, int partition,
-                           const txn::Topology& topology) {
-  std::vector<Key> out;
-  for (Key k : keys) {
-    if (topology.PartitionOfKey(k) == partition) out.push_back(k);
-  }
-  return out;
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // TapirReplica
 // ---------------------------------------------------------------------------
@@ -46,8 +33,11 @@ void TapirReplica::HandleGet(TxnId id, std::vector<Key> keys,
     results.push_back(txn::ReadResult{k, v.value, v.version});
   }
   auto* gw = engine_->gateway_by_node(reply_to);
+  int partition = partition_;
   SendTo(reply_to, WireKvBytes(results.size()),
-         [gw, id, results]() { gw->HandleReadReply(id, results); });
+         [gw, id, partition, results]() {
+           gw->HandleReadResults(id, partition, results);
+         });
 }
 
 bool TapirReplica::Validates(
@@ -84,11 +74,9 @@ void TapirReplica::HandlePrepare(
   }
   auto* gw = engine_->gateway_by_node(reply_to);
   int partition = partition_;
-  int replica = replica_;
-  SendTo(reply_to, kMessageHeaderBytes,
-         [gw, id, partition, replica, ok, cause]() {
-           gw->HandlePrepareVote(id, partition, replica, ok, cause);
-         });
+  SendTo(reply_to, kMessageHeaderBytes, [gw, id, partition, ok, cause]() {
+    gw->HandlePrepareVote(id, partition, ok, cause);
+  });
 }
 
 void TapirReplica::HandleFinalizePrepare(
@@ -104,10 +92,8 @@ void TapirReplica::HandleFinalizePrepare(
   }
   auto* gw = engine_->gateway_by_node(reply_to);
   int partition = partition_;
-  int replica = replica_;
-  SendTo(reply_to, kMessageHeaderBytes, [gw, id, partition, replica]() {
-    gw->HandleFinalizeAck(id, partition, replica);
-  });
+  SendTo(reply_to, kMessageHeaderBytes,
+         [gw, id, partition]() { gw->HandleFinalizeAck(id, partition); });
 }
 
 void TapirReplica::HandleCommit(TxnId id,
@@ -128,40 +114,34 @@ void TapirReplica::HandleAbort(TxnId id) {
 // ---------------------------------------------------------------------------
 
 TapirGateway::TapirGateway(TapirEngine* engine, int site, sim::NodeClock clock)
-    : net::Node(engine->cluster()->transport(), site, clock),
-      engine_(engine) {
-  obs::MetricsRegistry* m = engine->cluster()->metrics();
-  const std::string prefix = "tapir.gateway.s" + std::to_string(site) + ".";
-  slow_path_starts_ = m->GetCounter(prefix + "slow_path_starts");
-  commits_ = m->GetCounter(prefix + "commits");
-  aborts_ = m->GetCounter(prefix + "aborts");
+    : GatewayCore(engine->cluster(), site, clock),
+      engine_(engine),
+      decisions_(engine->cluster()->metrics(),
+                 "tapir.gateway.s" + std::to_string(site) + ".") {
+  slow_path_starts_ = engine->cluster()->metrics()->GetCounter(
+      "tapir.gateway.s" + std::to_string(site) + ".slow_path_starts");
 }
 
 void TapirGateway::StartTxn(const txn::TxnRequest& request,
                             txn::TxnCallback done) {
   const txn::Topology& topo = engine_->cluster()->topology();
-  if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-    tr->TxnBegin(request.id, txn::PriorityLevel(request.priority), TrueNow());
-    tr->SpanBegin(request.id, "round1", /*partition=*/-1, TrueNow());
-  }
-  ClientTxn st;
-  st.request = request;
-  st.done = std::move(done);
+  TapirTxn& st = Register(request, std::move(done),
+                          txn::PriorityLevel(request.priority),
+                          /*round1_span=*/true);
   st.participants = topo.Participants(request.read_set, request.write_set);
 
   // Read round: nearest replica of each partition holding read keys.
   std::vector<int> read_partitions = topo.Participants(request.read_set, {});
-  st.reads_outstanding = read_partitions.size();
+  st.awaiting.insert(read_partitions.begin(), read_partitions.end());
   TxnId id = request.id;
-  txns_[id] = std::move(st);
 
   if (read_partitions.empty()) {
     // Write-only transaction: go straight to the write computation.
-    HandleReadReply(id, {});
+    MaybeFinishRound1(id);
     return;
   }
   for (int p : read_partitions) {
-    std::vector<Key> keys = LocalKeys(request.read_set, p, topo);
+    std::vector<Key> keys = topo.LocalKeys(request.read_set, p);
     int r = engine_->NearestReplica(p, site());
     auto* rep = engine_->replica(p, r);
     SendTo(rep->id(), WireKeysBytes(keys.size()),
@@ -171,98 +151,73 @@ void TapirGateway::StartTxn(const txn::TxnRequest& request,
   }
 }
 
-void TapirGateway::HandleReadReply(TxnId id,
-                                   std::vector<txn::ReadResult> reads) {
-  auto it = txns_.find(id);
-  if (it == txns_.end()) return;
-  ClientTxn& st = it->second;
-  for (const txn::ReadResult& r : reads) st.reads[r.key] = r;
-  if (st.reads_outstanding > 0) --st.reads_outstanding;
-  if (st.reads_outstanding == 0 && !st.prepare_sent) StartPrepareRound(id);
-}
-
-void TapirGateway::StartPrepareRound(TxnId id) {
-  auto it = txns_.find(id);
-  if (it == txns_.end()) return;
-  ClientTxn& st = it->second;
-  st.prepare_sent = true;
-  if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-    tr->SpanEnd(id, "round1", /*partition=*/-1, TrueNow());
-  }
-
-  std::vector<txn::ReadResult> ordered;
-  ordered.reserve(st.request.read_set.size());
-  for (Key k : st.request.read_set) {
-    auto r = st.reads.find(k);
-    NATTO_CHECK(r != st.reads.end());
-    ordered.push_back(r->second);
-  }
-  txn::WriteDecision d = st.request.compute_writes(ordered);
-  if (d.user_abort) {
+void TapirGateway::SendRound2(TxnId id, TapirTxn& st,
+                              const std::vector<txn::ReadResult>& /*ordered*/,
+                              bool user_abort) {
+  if (user_abort) {
     if (obs::Tracer* tr = engine_->cluster()->tracer()) {
       tr->AttributeAbort(id, obs::AbortCause::kUserAbort);
-      tr->TxnEnd(id, "user_aborted", obs::AbortCause::kUserAbort, TrueNow());
     }
-    txn::TxnResult result;
-    result.outcome = txn::TxnOutcome::kUserAborted;
-    result.abort_cause = obs::AbortCause::kUserAbort;
-    auto done = std::move(st.done);
-    txns_.erase(it);
-    done(result);
+    HandleDecision(id, txn::TxnOutcome::kUserAborted,
+                   obs::AbortCause::kUserAbort);
     return;
   }
-  st.writes = std::move(d.writes);
-
-  const txn::Topology& topo = engine_->cluster()->topology();
   for (int p : st.participants) {
     st.partitions[p] = PartitionState{};
-    // Per-partition footprint for validation.
-    std::vector<std::pair<Key, uint64_t>> read_versions;
-    for (Key k : LocalKeys(st.request.read_set, p, topo)) {
-      read_versions.emplace_back(k, st.reads[k].version);
-    }
-    std::vector<Key> write_keys = LocalKeys(st.request.write_set, p, topo);
-    size_t bytes = WireKeysBytes(read_versions.size() + write_keys.size());
     if (obs::Tracer* tr = engine_->cluster()->tracer()) {
       tr->SpanBegin(id, "prepare", p, TrueNow());
     }
-    for (int r = 0; r < topo.num_replicas(); ++r) {
-      auto* rep = engine_->replica(p, r);
-      SendTo(rep->id(), bytes,
-             [rep, id, read_versions, write_keys, reply = this->id()]() {
-               rep->HandlePrepare(id, read_versions, write_keys, reply);
-             });
-    }
+    SendFootprint(id, st, p, /*finalize=*/false);
   }
 }
 
-void TapirGateway::HandlePrepareVote(TxnId id, int partition, int replica,
-                                     bool ok, obs::AbortCause cause) {
-  (void)replica;
-  auto it = txns_.find(id);
-  if (it == txns_.end()) return;
-  ClientTxn& st = it->second;
-  auto p = st.partitions.find(partition);
-  if (p == st.partitions.end()) return;
+void TapirGateway::SendFootprint(TxnId id, TapirTxn& st, int p,
+                                 bool finalize) {
+  const txn::Topology& topo = engine_->cluster()->topology();
+  std::vector<std::pair<Key, uint64_t>> read_versions;
+  for (Key k : topo.LocalKeys(st.request.read_set, p)) {
+    read_versions.emplace_back(k, st.reads[k].version);
+  }
+  std::vector<Key> write_keys = topo.LocalKeys(st.request.write_set, p);
+  size_t bytes = WireKeysBytes(read_versions.size() + write_keys.size());
+  for (int r = 0; r < topo.num_replicas(); ++r) {
+    auto* rep = engine_->replica(p, r);
+    SendTo(rep->id(), bytes,
+           [rep, id, read_versions, write_keys, finalize,
+            reply = this->id()]() {
+             if (finalize) {
+               rep->HandleFinalizePrepare(id, read_versions, write_keys,
+                                          reply);
+             } else {
+               rep->HandlePrepare(id, read_versions, write_keys, reply);
+             }
+           });
+  }
+}
+
+void TapirGateway::HandlePrepareVote(TxnId id, int partition, bool ok,
+                                     obs::AbortCause cause) {
+  TapirTxn* st = Find(id);
+  if (st == nullptr) return;
+  auto p = st->partitions.find(partition);
+  if (p == st->partitions.end()) return;
   PartitionState& ps = p->second;
   if (ps.phase != PartitionPhase::kVoting) return;
   if (ok) {
     ++ps.ok_votes;
   } else {
     ++ps.fail_votes;
-    if (st.fail_cause == obs::AbortCause::kNone) st.fail_cause = cause;
+    if (st->fail_cause == obs::AbortCause::kNone) st->fail_cause = cause;
   }
   OnPartitionUpdate(id, partition);
 }
 
 void TapirGateway::OnPartitionUpdate(TxnId id, int partition) {
-  auto it = txns_.find(id);
-  if (it == txns_.end()) return;
-  ClientTxn& st = it->second;
-  PartitionState& ps = st.partitions[partition];
-  const txn::Topology& topo = engine_->cluster()->topology();
-  int n = topo.num_replicas();
-  int majority = n / 2 + 1;
+  TapirTxn* st = Find(id);
+  if (st == nullptr) return;
+  PartitionState& ps = st->partitions[partition];
+  const int n = engine_->cluster()->topology().num_replicas();
+  const int majority = n / 2 + 1;
 
   if (ps.phase == PartitionPhase::kVoting) {
     if (ps.ok_votes == n) {
@@ -284,32 +239,17 @@ void TapirGateway::OnPartitionUpdate(TxnId id, int partition) {
       if (obs::Tracer* tr = engine_->cluster()->tracer()) {
         tr->SpanBegin(id, "slow_path", partition, TrueNow());
       }
-      std::vector<std::pair<Key, uint64_t>> read_versions;
-      for (Key k : LocalKeys(st.request.read_set, partition, topo)) {
-        read_versions.emplace_back(k, st.reads[k].version);
-      }
-      std::vector<Key> write_keys =
-          LocalKeys(st.request.write_set, partition, topo);
-      size_t bytes = WireKeysBytes(read_versions.size() + write_keys.size());
-      for (int r = 0; r < n; ++r) {
-        auto* rep = engine_->replica(partition, r);
-        SendTo(rep->id(), bytes, [rep, id, read_versions, write_keys,
-                                  reply = this->id()]() {
-          rep->HandleFinalizePrepare(id, read_versions, write_keys, reply);
-        });
-      }
+      SendFootprint(id, *st, partition, /*finalize=*/true);
     }
   }
   MaybeDecide(id);
 }
 
-void TapirGateway::HandleFinalizeAck(TxnId id, int partition, int replica) {
-  (void)replica;
-  auto it = txns_.find(id);
-  if (it == txns_.end()) return;
-  ClientTxn& st = it->second;
-  auto p = st.partitions.find(partition);
-  if (p == st.partitions.end()) return;
+void TapirGateway::HandleFinalizeAck(TxnId id, int partition) {
+  TapirTxn* st = Find(id);
+  if (st == nullptr) return;
+  auto p = st->partitions.find(partition);
+  if (p == st->partitions.end()) return;
   PartitionState& ps = p->second;
   if (ps.phase != PartitionPhase::kSlowPath) return;
   const txn::Topology& topo = engine_->cluster()->topology();
@@ -324,48 +264,36 @@ void TapirGateway::HandleFinalizeAck(TxnId id, int partition, int replica) {
 }
 
 void TapirGateway::MaybeDecide(TxnId id) {
-  auto it = txns_.find(id);
-  if (it == txns_.end()) return;
-  ClientTxn& st = it->second;
-  if (st.decided) return;
+  TapirTxn* st = Find(id);
+  if (st == nullptr) return;
   bool all_ok = true;
-  for (int p : st.participants) {
-    PartitionPhase phase = st.partitions[p].phase;
+  for (int p : st->participants) {
+    PartitionPhase phase = st->partitions[p].phase;
     if (phase == PartitionPhase::kAborted) {
-      Decide(id, /*commit=*/false, "prepare conflict",
-             st.fail_cause == obs::AbortCause::kNone
+      Decide(id, /*commit=*/false,
+             st->fail_cause == obs::AbortCause::kNone
                  ? obs::AbortCause::kOccConflict
-                 : st.fail_cause);
+                 : st->fail_cause);
       return;
     }
     if (phase != PartitionPhase::kPreparedOk) all_ok = false;
   }
-  if (all_ok) Decide(id, /*commit=*/true, "", obs::AbortCause::kNone);
+  if (all_ok) Decide(id, /*commit=*/true, obs::AbortCause::kNone);
 }
 
-void TapirGateway::Decide(TxnId id, bool commit, const std::string& reason,
-                          obs::AbortCause cause) {
-  auto it = txns_.find(id);
-  if (it == txns_.end()) return;
-  ClientTxn st = std::move(it->second);
-  txns_.erase(it);
-
-  (commit ? commits_ : aborts_)->Inc();
-  if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-    tr->Instant(id, commit ? "decide_commit" : "decide_abort", -1, TrueNow());
-    if (!commit) tr->AttributeAbort(id, cause);
-    tr->TxnEnd(id, commit ? "committed" : "aborted", cause, TrueNow());
-  }
+void TapirGateway::Decide(TxnId id, bool commit, obs::AbortCause cause) {
+  TapirTxn* st = Find(id);
+  if (st == nullptr) return;
+  obs::Tracer* tr = engine_->cluster()->tracer();
+  decisions_.Record(tr, id, commit, TrueNow());
+  if (tr != nullptr && !commit) tr->AttributeAbort(id, cause);
 
   const txn::Topology& topo = engine_->cluster()->topology();
-  for (int p : st.participants) {
+  for (int p : st->participants) {
     for (int r = 0; r < topo.num_replicas(); ++r) {
       auto* rep = engine_->replica(p, r);
       if (commit) {
-        std::vector<std::pair<Key, Value>> writes;
-        for (const auto& [k, v] : st.writes) {
-          if (topo.PartitionOfKey(k) == p) writes.emplace_back(k, v);
-        }
+        auto writes = topo.LocalEntries(st->writes, p);
         SendTo(rep->id(), WireKvBytes(writes.size()),
                [rep, id, writes]() { rep->HandleCommit(id, writes); });
       } else {
@@ -379,26 +307,18 @@ void TapirGateway::Decide(TxnId id, bool commit, const std::string& reason,
   // batching is off.
   transport()->Flush();
 
-  txn::TxnResult result;
-  result.outcome =
-      commit ? txn::TxnOutcome::kCommitted : txn::TxnOutcome::kAborted;
-  result.abort_reason = reason;
-  result.abort_cause = commit ? obs::AbortCause::kNone : cause;
-  if (commit) {
-    for (Key k : st.request.read_set) {
-      auto r = st.reads.find(k);
-      if (r != st.reads.end()) result.reads.push_back(r->second);
-    }
-    result.writes = st.writes;
-  }
-  st.done(result);
+  HandleDecision(id,
+                 commit ? txn::TxnOutcome::kCommitted
+                        : txn::TxnOutcome::kAborted,
+                 cause);
 }
 
 // ---------------------------------------------------------------------------
 // TapirEngine
 // ---------------------------------------------------------------------------
 
-TapirEngine::TapirEngine(txn::Cluster* cluster) : cluster_(cluster) {
+TapirEngine::TapirEngine(txn::Cluster* cluster)
+    : EngineCore(cluster, /*payload_base=*/0) {
   const txn::Topology& topo = cluster_->topology();
   replicas_.resize(topo.num_partitions());
   for (int p = 0; p < topo.num_partitions(); ++p) {
@@ -408,23 +328,9 @@ TapirEngine::TapirEngine(txn::Cluster* cluster) : cluster_(cluster) {
     }
   }
   for (int s = 0; s < topo.num_sites(); ++s) {
-    gateways_.push_back(
+    gateways_.Add(
         std::make_unique<TapirGateway>(this, s, cluster_->MakeClock()));
   }
-  for (auto& g : gateways_) gateway_by_node_[g->id()] = g.get();
-}
-
-void TapirEngine::Execute(const txn::TxnRequest& request,
-                          txn::TxnCallback done) {
-  NATTO_CHECK(request.origin_site >= 0 &&
-              request.origin_site < static_cast<int>(gateways_.size()));
-  gateways_[request.origin_site]->StartTxn(request, std::move(done));
-}
-
-TapirGateway* TapirEngine::gateway_by_node(net::NodeId node) {
-  auto it = gateway_by_node_.find(node);
-  NATTO_CHECK(it != gateway_by_node_.end());
-  return it->second;
 }
 
 int TapirEngine::NearestReplica(int partition, int site) const {
@@ -448,3 +354,4 @@ Value TapirEngine::DebugValue(Key key) {
 }
 
 }  // namespace natto::tapir
+

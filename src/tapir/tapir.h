@@ -13,6 +13,7 @@
 #include "store/kv_store.h"
 #include "store/prepared_set.h"
 #include "txn/cluster.h"
+#include "txn/engine_core.h"
 #include "txn/transaction.h"
 
 namespace natto::tapir {
@@ -63,76 +64,69 @@ class TapirReplica : public net::Node {
   obs::Counter* prepare_vote_no_ = nullptr;
 };
 
+enum class PartitionPhase { kVoting, kSlowPath, kPreparedOk, kAborted };
+
+/// Prepare progress at one participant partition.
+struct PartitionState {
+  PartitionPhase phase = PartitionPhase::kVoting;
+  int ok_votes = 0;
+  int fail_votes = 0;
+  int finalize_acks = 0;
+};
+
+/// Client-side state of one attempt.
+struct TapirTxn : txn::ClientTxn {
+  std::vector<int> participants;
+  std::unordered_map<int, PartitionState> partitions;
+  /// Cause of the first failed vote (first-wins; kNone until a no vote).
+  obs::AbortCause fail_cause = obs::AbortCause::kNone;
+};
+
 /// Client library + 2PC coordinator in one (TAPIR offloads coordination to
 /// clients): reads from the nearest replica, prepares at every replica of
 /// each participant, decides on the fast path when votes are unanimous and
 /// falls back to the slow path as soon as the fast path fails (the paper's
 /// modification of the 500 ms-timeout reference implementation).
-class TapirGateway : public net::Node {
+class TapirGateway : public txn::GatewayCore<TapirTxn> {
  public:
   TapirGateway(TapirEngine* engine, int site, sim::NodeClock clock);
 
   void StartTxn(const txn::TxnRequest& request, txn::TxnCallback done);
 
-  void HandleReadReply(TxnId id, std::vector<txn::ReadResult> reads);
   /// No votes carry the refusing replica's abort cause for attribution.
-  void HandlePrepareVote(TxnId id, int partition, int replica, bool ok,
+  void HandlePrepareVote(TxnId id, int partition, bool ok,
                          obs::AbortCause cause = obs::AbortCause::kNone);
-  void HandleFinalizeAck(TxnId id, int partition, int replica);
+  void HandleFinalizeAck(TxnId id, int partition);
 
  private:
-  enum class PartitionPhase { kVoting, kSlowPath, kPreparedOk, kAborted };
-
-  struct PartitionState {
-    PartitionPhase phase = PartitionPhase::kVoting;
-    int ok_votes = 0;
-    int fail_votes = 0;
-    int finalize_acks = 0;
-  };
-
-  struct ClientTxn {
-    txn::TxnRequest request;
-    txn::TxnCallback done;
-    std::vector<int> participants;
-    size_t reads_outstanding = 0;
-    std::unordered_map<Key, txn::ReadResult> reads;
-    std::vector<std::pair<Key, Value>> writes;
-    std::unordered_map<int, PartitionState> partitions;
-    bool prepare_sent = false;
-    bool decided = false;
-    /// Cause of the first failed vote (first-wins; kNone until a no vote).
-    obs::AbortCause fail_cause = obs::AbortCause::kNone;
-  };
-
-  void StartPrepareRound(TxnId id);
+  /// Round 2 is the prepare round.
+  void SendRound2(TxnId id, TapirTxn& st,
+                  const std::vector<txn::ReadResult>& ordered,
+                  bool user_abort) override;
+  /// Sends partition `p`'s validation footprint (read versions and write
+  /// keys) to all its replicas: a prepare, or the slow path's finalize.
+  void SendFootprint(TxnId id, TapirTxn& st, int p, bool finalize);
   void OnPartitionUpdate(TxnId id, int partition);
   void MaybeDecide(TxnId id);
-  void Decide(TxnId id, bool commit, const std::string& reason,
-              obs::AbortCause cause);
+  void Decide(TxnId id, bool commit, obs::AbortCause cause);
 
   TapirEngine* engine_;
-  std::unordered_map<TxnId, ClientTxn> txns_;
 
   // Registered under tapir.gateway.s<site>.
   obs::Counter* slow_path_starts_ = nullptr;
-  obs::Counter* commits_ = nullptr;
-  obs::Counter* aborts_ = nullptr;
+  txn::DecisionCounters decisions_;
 };
 
 /// TAPIR (SOSP'15) baseline.
-class TapirEngine : public txn::TxnEngine {
+class TapirEngine : public txn::EngineCore<TapirGateway> {
  public:
   explicit TapirEngine(txn::Cluster* cluster);
 
-  void Execute(const txn::TxnRequest& request, txn::TxnCallback done) override;
   std::string name() const override { return "TAPIR"; }
 
-  txn::Cluster* cluster() { return cluster_; }
   TapirReplica* replica(int partition, int r) {
     return replicas_[partition][r].get();
   }
-  TapirGateway* gateway_at(int site) { return gateways_[site].get(); }
-  TapirGateway* gateway_by_node(net::NodeId node);
 
   /// Index of the replica of `partition` closest to `site`.
   int NearestReplica(int partition, int site) const;
@@ -141,10 +135,7 @@ class TapirEngine : public txn::TxnEngine {
   Value DebugValue(Key key) override;
 
  private:
-  txn::Cluster* cluster_;
   std::vector<std::vector<std::unique_ptr<TapirReplica>>> replicas_;
-  std::vector<std::unique_ptr<TapirGateway>> gateways_;
-  std::unordered_map<net::NodeId, TapirGateway*> gateway_by_node_;
 };
 
 }  // namespace natto::tapir

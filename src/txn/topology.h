@@ -1,6 +1,7 @@
 #ifndef NATTO_TXN_TOPOLOGY_H_
 #define NATTO_TXN_TOPOLOGY_H_
 
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -32,6 +33,22 @@ class Topology {
   /// Hash partitioning of the keyspace.
   int PartitionOfKey(Key key) const {
     return static_cast<int>(key % static_cast<Key>(num_partitions()));
+  }
+
+  /// Keys of `keys` living on `partition`, in order.
+  std::vector<Key> LocalKeys(const std::vector<Key>& keys,
+                             int partition) const;
+
+  /// Entries of `kvs` (writes, or read versions) whose key lives on
+  /// `partition`, in order.
+  template <typename V>
+  std::vector<std::pair<Key, V>> LocalEntries(
+      const std::vector<std::pair<Key, V>>& kvs, int partition) const {
+    std::vector<std::pair<Key, V>> out;
+    for (const auto& [k, v] : kvs) {
+      if (PartitionOfKey(k) == partition) out.emplace_back(k, v);
+    }
+    return out;
   }
 
   /// Participant partitions of a transaction footprint, sorted,

@@ -76,8 +76,6 @@ enum class TxnOutcome {
 
 struct TxnResult {
   TxnOutcome outcome = TxnOutcome::kAborted;
-  /// Why the attempt aborted (engine-specific, for diagnostics).
-  std::string abort_reason;
   /// Taxonomy cause for aborted outcomes (kNone when committed). Engines
   /// must attribute every system abort; the harness counts per-cause
   /// metrics and the taxonomy tests pin the `unknown` bucket to zero.

@@ -71,7 +71,8 @@ TEST_P(NattoSweepTest, HighPriorityNeverAbortsAndHistorySerializable) {
     ASSERT_TRUE(it.probe->result.has_value()) << "txn hung";
     if (it.priority == txn::Priority::kHigh) {
       EXPECT_TRUE(it.probe->committed())
-          << "high-priority aborted: " << it.probe->result->abort_reason;
+          << "high-priority aborted: "
+          << obs::AbortCauseName(it.probe->result->abort_cause);
     }
     if (it.probe->committed()) {
       for (const auto& [k, v] : it.probe->result->writes) ++committed[k];

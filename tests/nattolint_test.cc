@@ -239,6 +239,22 @@ TEST(NattolintSiteBypass, FlagsDirectScheduleAtInEngineAndRaftDirs) {
   }
 }
 
+TEST(NattolintSiteBypass, FlagsTheEnginesSharedCore) {
+  // The shared 2PC core runs inside every engine's coordinators and
+  // gateways, so it gets the engine directories' rule; the rest of src/txn
+  // (cluster wiring, topology) stays exempt.
+  auto vs = nattolint::LintContent("src/txn/engine_core.cc",
+                                   ReadFixture("engine_core_bypass_bad.cc"),
+                                   {});
+  auto by_rule = CountByRule(vs);
+  EXPECT_EQ(by_rule["natto-site-bypass"], 1)
+      << "the raw decision timer fires; Node::After does not";
+  EXPECT_EQ(static_cast<int>(vs.size()), 1);
+  vs = nattolint::LintContent("src/txn/cluster.cc",
+                              ReadFixture("engine_core_bypass_bad.cc"), {});
+  EXPECT_EQ(CountByRule(vs)["natto-site-bypass"], 0);
+}
+
 TEST(NattolintSiteBypass, OtherDirectoriesAreExempt) {
   // The transport has its own rule (natto-batch-bypass), the fault injector
   // is a sanctioned global actor, and the harness routes explicitly.

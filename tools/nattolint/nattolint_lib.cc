@@ -467,16 +467,20 @@ std::vector<Violation> LintContent(
       !(HasSuffix(norm, "/common/rng.h") || norm == "common/rng.h");
   const bool batch_applies =
       is_tu && (PathContainsDir(norm, "src/net") || HasPrefix(norm, "net/"));
-  // Engine protocol code and the raft layer run on per-site lanes under the
-  // site-parallel kernel; their timers must route through net::Node::After /
-  // AtLocalTime (site-routed) or name a lane with ScheduleAtSite.
+  // Engine protocol code (including the engines' shared core in
+  // src/txn/engine_core.cc) and the raft layer run on per-site lanes under
+  // the site-parallel kernel; their timers must route through
+  // net::Node::After / AtLocalTime (site-routed) or name a lane with
+  // ScheduleAtSite.
   const bool site_applies =
       is_tu &&
       (PathContainsDir(norm, "src/carousel") || HasPrefix(norm, "carousel/") ||
        PathContainsDir(norm, "src/spanner") || HasPrefix(norm, "spanner/") ||
        PathContainsDir(norm, "src/tapir") || HasPrefix(norm, "tapir/") ||
        PathContainsDir(norm, "src/natto") || HasPrefix(norm, "natto/") ||
-       PathContainsDir(norm, "src/raft") || HasPrefix(norm, "raft/"));
+       PathContainsDir(norm, "src/raft") || HasPrefix(norm, "raft/") ||
+       HasSuffix(norm, "src/txn/engine_core.cc") ||
+       norm == "txn/engine_core.cc");
   const bool env_applies = !PathContainsDir(norm, "tools");
   const bool thread_applies =
       is_tu && (PathContainsDir(norm, "src") || HasPrefix(norm, "src/"));
