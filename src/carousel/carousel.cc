@@ -409,15 +409,6 @@ void CarouselCoordinator::HandleCommitRequest(
   MaybeDecide(id);
 }
 
-void CarouselCoordinator::OnReplicationFailed(TxnId id,
-                                              obs::AbortCause cause) {
-  CoordinatorTxn* st = Find(id);
-  if (st == nullptr) return;
-  st->failed = true;
-  st->fail_cause = cause;
-  MaybeDecide(id);
-}
-
 void CarouselCoordinator::TryDecide(TxnId id, CoordinatorTxn& st) {
   if (st.user_abort) {
     Decide(id, /*commit=*/false, obs::AbortCause::kUserAbort);

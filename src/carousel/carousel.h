@@ -164,7 +164,6 @@ class CarouselCoordinator : public txn::CoordinatorCore<CoordinatorTxn> {
   void MaybeStartSlowPath(TxnId id, int partition);
   void TryDecide(TxnId id, CoordinatorTxn& st) override;
   void FanOut(TxnId id, const CoordinatorTxn& st, bool commit) override;
-  void OnReplicationFailed(TxnId id, obs::AbortCause cause) override;
 
   CarouselEngine* engine_;
 

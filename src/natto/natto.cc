@@ -662,8 +662,7 @@ void NattoCoordinator::HandleVote(const NattoVote& vote) {
     vs.version = vote.read_version;
     vs.conditional = vote.conditional;
   } else {
-    st->failed = true;
-    st->fail_cause = vote.cause;
+    Fail(*st, vote.cause);
   }
   MaybeDecide(vote.id);
 }
@@ -716,14 +715,6 @@ void NattoCoordinator::HandleRound2(TxnId id,
     }
     MaybeDecide(id);
   });
-}
-
-void NattoCoordinator::OnReplicationFailed(TxnId id, obs::AbortCause cause) {
-  CoordinatorTxn* st = Find(id);
-  if (st == nullptr) return;
-  st->failed = true;
-  st->fail_cause = cause;
-  MaybeDecide(id);
 }
 
 void NattoCoordinator::TryDecide(TxnId id, CoordinatorTxn& st) {

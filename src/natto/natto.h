@@ -239,7 +239,6 @@ class NattoCoordinator : public txn::CoordinatorCore<CoordinatorTxn> {
   void TryDecide(TxnId id, CoordinatorTxn& st) override;
   void FanOut(TxnId id, const CoordinatorTxn& st, bool commit) override;
   void AfterDecide(TxnId id, const CoordinatorTxn& st, bool commit) override;
-  void OnReplicationFailed(TxnId id, obs::AbortCause cause) override;
   void ServeRecsf(const PendingRecsf& req,
                   const std::vector<std::pair<Key, Value>>& writes);
 

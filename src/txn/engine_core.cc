@@ -107,9 +107,8 @@ void CoordinatorBase::ProposeLocal(TxnId id,
   cluster_->group(local_partition)
       ->Propose(payload_ids_->Next(), std::move(on_committed),
                 [this, id](bool timed_out) {
-                  OnReplicationFailed(
-                      id, timed_out ? obs::AbortCause::kLeaderFailover
-                                    : obs::AbortCause::kReplicationFailed);
+                  Refuse(id, timed_out ? obs::AbortCause::kLeaderFailover
+                                       : obs::AbortCause::kReplicationFailed);
                 });
 }
 

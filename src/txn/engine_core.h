@@ -205,11 +205,12 @@ class CoordinatorBase : public net::Node {
                 obs::AbortCause cause);
 
   /// Makes decision data durable in the Raft group of the partition led at
-  /// this site. A lost proposal fails the transaction with kLeaderFailover
-  /// (timed out) or kReplicationFailed (no live leader).
+  /// this site. A lost proposal refuses the transaction with
+  /// kLeaderFailover (timed out) or kReplicationFailed (no live leader).
   void ProposeLocal(TxnId id, std::function<void()> on_committed);
 
-  virtual void OnReplicationFailed(TxnId id, obs::AbortCause cause) = 0;
+  /// Fails the transaction (first cause wins) and decides if it has begun.
+  virtual void Refuse(TxnId id, obs::AbortCause cause) = 0;
 
   Cluster* cluster_;
 
@@ -251,16 +252,11 @@ class CoordinatorCore : public CoordinatorBase {
     return st;
   }
 
-  /// Fails the transaction (first cause wins) and decides if it has begun.
-  void Refuse(TxnId id, obs::AbortCause cause) {
+  void Refuse(TxnId id, obs::AbortCause cause) override {
     State* st = Lazy(id);
     if (st == nullptr) return;
     Fail(*st, cause);
     MaybeDecide(id);
-  }
-
-  void OnReplicationFailed(TxnId id, obs::AbortCause cause) override {
-    Refuse(id, cause);
   }
 
   /// Runs the protocol's decision rule once Begin has arrived.

@@ -47,6 +47,40 @@ TEST(NattoTest, RefreshEstimatesGuardsAgainstDuplicateLoops) {
   EXPECT_LE(gw->refresh_fetches(), 12u);
 }
 
+// An abort is attributed to its first definite abort point. Two refusals
+// with different causes that overtake Begin must leave the first cause on
+// the decision, not the last.
+TEST(NattoTest, RefusalsOvertakingBeginKeepTheFirstCause) {
+  auto cluster = MakeCluster();
+  NattoEngine engine(cluster.get(), NattoOptions::Recsf());
+  const TxnId id = MakeTxnId(1, 1);
+  std::optional<txn::TxnResult> result;
+  cluster->simulator()->ScheduleAt(Seconds(2), [&]() {
+    txn::TxnRequest req;
+    req.id = id;
+    req.read_set = {1, 4};
+    req.write_set = {1, 4};
+    req.origin_site = 0;
+    req.compute_writes = testutil::IncrementWrites();
+    engine.Execute(req, [&](const txn::TxnResult& r) { result = r; });
+    // Begin is still on the wire to the local coordinator.
+    NattoVote first;
+    first.id = id;
+    first.partition = 1;
+    first.cause = obs::AbortCause::kOccConflict;
+    NattoVote second = first;
+    second.partition = 4;
+    second.cause = obs::AbortCause::kOrderViolation;
+    engine.coordinator_at(0)->HandleVote(first);
+    engine.coordinator_at(0)->HandleVote(second);
+  });
+  cluster->simulator()->RunUntil(Seconds(4));
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->outcome, txn::TxnOutcome::kAborted);
+  EXPECT_EQ(result->abort_cause, obs::AbortCause::kOccConflict)
+      << obs::AbortCauseName(result->abort_cause);
+}
+
 TEST(NattoTest, SingleTxnCommitsAtTimestamp) {
   auto cluster = MakeCluster();
   NattoEngine engine(cluster.get(), NattoOptions::Recsf());
