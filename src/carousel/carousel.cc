@@ -66,12 +66,7 @@ void CarouselServer::HandleReadPrepare(const WireTxn& txn) {
 
   // Serve reads to the client right away (transaction processing overlaps
   // 2PC and replication).
-  std::vector<txn::ReadResult> results;
-  results.reserve(reads.size());
-  for (Key k : reads) {
-    store::VersionedValue v = kv_.Get(k);
-    results.push_back(txn::ReadResult{k, v.value, v.version});
-  }
+  std::vector<txn::ReadResult> results = txn::ReadAll(kv_, reads);
   auto* gw = engine_->gateway_by_node(txn.client);
   SendTo(txn.client, WireKvBytes(results.size()),
          [gw, id, partition, results]() {
@@ -173,14 +168,11 @@ void CarouselFastReplica::HandleReadPrepare(const WireTxn& txn) {
   // Each replica serves reads from its (possibly stale) local state even
   // when its prepare vote is no — the client needs round 1 to complete so
   // the slow-path fallback can validate the read versions at the leader.
-  std::vector<txn::ReadResult> results;
+  std::vector<txn::ReadResult> results = txn::ReadAll(kv_, reads);
   std::vector<std::pair<Key, uint64_t>> versions;
-  results.reserve(reads.size());
-  versions.reserve(reads.size());
-  for (Key k : reads) {
-    store::VersionedValue v = kv_.Get(k);
-    results.push_back(txn::ReadResult{k, v.value, v.version});
-    versions.emplace_back(k, v.version);
+  versions.reserve(results.size());
+  for (const txn::ReadResult& r : results) {
+    versions.emplace_back(r.key, r.version);
   }
   auto* gw = engine_->gateway_by_node(txn.client);
   SendTo(txn.client, WireKvBytes(results.size()),
@@ -438,22 +430,14 @@ void CarouselCoordinator::FanOut(TxnId id, const CoordinatorTxn& st,
   // Asynchronously commit/abort at the participants.
   const txn::Topology& topo = engine_->cluster()->topology();
   for (int p : st.participants) {
-    auto send = [&](auto* node) {
-      if (commit) {
-        auto writes = topo.LocalEntries(st.writes, p);
-        SendTo(node->id(), WireKvBytes(writes.size()),
-               [node, id, writes]() { node->HandleCommit(id, writes); });
-      } else {
-        SendTo(node->id(), kMessageHeaderBytes,
-               [node, id]() { node->HandleAbort(id); });
-      }
-    };
     if (engine_->options().fast_path) {
       for (int r = 0; r < topo.num_replicas(); ++r) {
-        send(engine_->fast_replica(p, r));
+        txn::SendOutcome(this, engine_->fast_replica(p, r), id, commit, topo,
+                         p, st.writes);
       }
     } else {
-      send(engine_->server(p));
+      txn::SendOutcome(this, engine_->server(p), id, commit, topo, p,
+                       st.writes);
     }
   }
 }
@@ -523,9 +507,7 @@ void CarouselGateway::SendRound2(TxnId id, txn::ClientTxn& st,
   for (const txn::ReadResult& r : ordered) {
     versions.emplace_back(r.key, r.version);
   }
-  // Round 2 is charged as a header-only message: the write values were never
-  // counted on the wire, and the goldens and benchmark ceilings pin that.
-  SendTo(coord->id(), kMessageHeaderBytes + versions.size() * 8,
+  SendTo(coord->id(), txn::kRound2Bytes + versions.size() * 8,
          [coord, id, writes = st.writes, versions]() {
            coord->HandleCommitRequest(id, writes, versions,
                                       /*user_abort=*/false);

@@ -53,8 +53,6 @@ class CarouselServer : public net::Node {
   void HandleAbort(TxnId id);
 
   store::KvStore* kv() { return &kv_; }
-  const store::PreparedSet& prepared() const { return prepared_; }
-  int partition() const { return partition_; }
 
  private:
   CarouselEngine* engine_;

@@ -116,13 +116,8 @@ void NattoServer::HandleReadPrepare(const NattoWireTxn& txn) {
       tr->Instant(txn.id, "stale_retry_refused", partition_, TrueNow());
       tr->AttributeAbort(txn.id, obs::AbortCause::kStaleRetry);
     }
-    NattoVote v;
-    v.id = txn.id;
-    v.partition = partition_;
-    v.ok = false;
-    v.cause = obs::AbortCause::kStaleRetry;
-    auto* co = engine_->coordinator_by_node(txn.coordinator);
-    SendTo(txn.coordinator, kMessageHeaderBytes, [co, v]() { co->HandleVote(v); });
+    SendVote(txn.coordinator,
+             {.id = txn.id, .cause = obs::AbortCause::kStaleRetry});
     return;
   }
   Enqueue(std::move(st));
@@ -152,14 +147,8 @@ void NattoServer::Enqueue(TxnState st) {
         tr->AttributeAbort(w.id, obs::AbortCause::kOrderViolation);
       }
       finished_.insert(w.id);
-      NattoVote v;
-      v.id = w.id;
-      v.partition = partition_;
-      v.ok = false;
-      v.cause = obs::AbortCause::kOrderViolation;
-      auto* co = engine_->coordinator_by_node(w.coordinator);
-      SendTo(w.coordinator, kMessageHeaderBytes,
-             [co, v]() { co->HandleVote(v); });
+      SendVote(w.coordinator,
+               {.id = w.id, .cause = obs::AbortCause::kOrderViolation});
       return;
     }
   }
@@ -258,14 +247,8 @@ void NattoServer::ProcessTxn(TxnState st) {
         tr->AttributeAbort(st.txn.id, obs::AbortCause::kOccConflict);
       }
       finished_.insert(st.txn.id);
-      NattoVote v;
-      v.id = st.txn.id;
-      v.partition = partition_;
-      v.ok = false;
-      v.cause = obs::AbortCause::kOccConflict;
-      auto* co = engine_->coordinator_by_node(st.txn.coordinator);
-      SendTo(st.txn.coordinator, kMessageHeaderBytes,
-             [co, v]() { co->HandleVote(v); });
+      SendVote(st.txn.coordinator,
+               {.id = st.txn.id, .cause = obs::AbortCause::kOccConflict});
       return;
     }
     PrepareNow(std::move(st), /*conditional=*/false, 0);
@@ -356,16 +339,11 @@ void NattoServer::PrepareNow(TxnState st, bool conditional,
         auto it = prepared_txns_.find(id);
         if (it == prepared_txns_.end()) return;  // aborted or CP discarded
         if (it->second.read_version != version) return;  // superseded
-        NattoVote vote;
-        vote.id = id;
-        vote.partition = partition_;
-        vote.ok = true;
-        vote.read_version = version;
-        vote.conditional = it->second.conditional;
-        vote.condition_on = it->second.condition_on;
-        auto* co = engine_->coordinator_by_node(coord);
-        SendTo(coord, kMessageHeaderBytes,
-               [co, vote]() { co->HandleVote(vote); });
+        SendVote(coord, {.id = id,
+                         .ok = true,
+                         .read_version = version,
+                         .conditional = it->second.conditional,
+                         .condition_on = it->second.condition_on});
       },
       [this, id, version, coord, span_name](bool timed_out) {
         // Prepare record lost to a leader failure: vote no; the
@@ -376,26 +354,21 @@ void NattoServer::PrepareNow(TxnState st, bool conditional,
         auto it = prepared_txns_.find(id);
         if (it == prepared_txns_.end()) return;
         if (it->second.read_version != version) return;
-        NattoVote vote;
-        vote.id = id;
-        vote.partition = partition_;
-        vote.ok = false;
-        vote.read_version = version;
-        vote.cause = timed_out ? obs::AbortCause::kLeaderFailover
-                               : obs::AbortCause::kReplicationFailed;
-        auto* co = engine_->coordinator_by_node(coord);
-        SendTo(coord, kMessageHeaderBytes,
-               [co, vote]() { co->HandleVote(vote); });
+        obs::AbortCause cause = timed_out ? obs::AbortCause::kLeaderFailover
+                                          : obs::AbortCause::kReplicationFailed;
+        SendVote(coord, {.id = id, .read_version = version, .cause = cause});
       });
 }
 
+void NattoServer::SendVote(net::NodeId coordinator, NattoVote vote) {
+  vote.partition = partition_;
+  auto* co = engine_->coordinator_by_node(coordinator);
+  SendTo(coordinator, kMessageHeaderBytes,
+         [co, vote]() { co->HandleVote(vote); });
+}
+
 void NattoServer::ServeReads(TxnState& st) {
-  std::vector<txn::ReadResult> results;
-  results.reserve(st.local_reads.size());
-  for (Key k : st.local_reads) {
-    store::VersionedValue v = kv_.Get(k);
-    results.push_back(txn::ReadResult{k, v.value, v.version});
-  }
+  std::vector<txn::ReadResult> results = txn::ReadAll(kv_, st.local_reads);
   auto* gw = engine_->gateway_by_node(st.txn.client);
   TxnId id = st.txn.id;
   int partition = partition_;
@@ -621,12 +594,7 @@ void NattoServer::ForwardReadsRemote(const TxnState& high,
            });
   }
   if (!rest.empty()) {
-    std::vector<txn::ReadResult> results;
-    results.reserve(rest.size());
-    for (Key k : rest) {
-      store::VersionedValue v = kv_.Get(k);
-      results.push_back(txn::ReadResult{k, v.value, v.version});
-    }
+    std::vector<txn::ReadResult> results = txn::ReadAll(kv_, rest);
     auto* gw = engine_->gateway_by_node(high.txn.client);
     SendTo(high.txn.client, WireKvBytes(results.size()),
            [gw, reader, partition, version, results]() {
@@ -748,16 +716,7 @@ void NattoCoordinator::FanOut(TxnId id, const CoordinatorTxn& st,
                               bool commit) {
   const txn::Topology& topo = engine_->cluster()->topology();
   for (int p : st.participants) {
-    auto* srv = engine_->server(p);
-    if (commit) {
-      std::vector<std::pair<Key, Value>> local =
-          topo.LocalEntries(st.writes, p);
-      SendTo(srv->id(), WireKvBytes(local.size()),
-             [srv, id, local]() { srv->HandleCommit(id, local); });
-    } else {
-      SendTo(srv->id(), kMessageHeaderBytes,
-             [srv, id]() { srv->HandleAbort(id); });
-    }
+    txn::SendOutcome(this, engine_->server(p), id, commit, topo, p, st.writes);
   }
 }
 
@@ -992,9 +951,7 @@ void NattoGateway::SendRound2(TxnId id, NattoClientTxn& st,
   for (int p : st.participants) {
     versions.emplace_back(p, st.read_versions.find(p)->second);
   }
-  // Round 2 is charged as a header-only message: the write values were never
-  // counted on the wire, and the goldens and benchmark ceilings pin that.
-  SendTo(coord->id(), kMessageHeaderBytes,
+  SendTo(coord->id(), txn::kRound2Bytes,
          [coord, id, writes = st.writes, versions]() {
            coord->HandleRound2(id, writes, versions, /*user_abort=*/false);
          });

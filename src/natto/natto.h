@@ -92,9 +92,6 @@ class NattoServer : public net::Node {
   void HandleAbort(TxnId id);
 
   store::KvStore* kv() { return &kv_; }
-  const store::PreparedSet& prepared() const { return prepared_; }
-  size_t queue_size() const { return queue_.size(); }
-  size_t waiting_size() const { return waiting_.size(); }
 
   /// Counter values for tests and the ablation benches. Backed by the
   /// cluster's metrics registry (`natto.server.p<N>.<field>`); this struct
@@ -137,6 +134,8 @@ class NattoServer : public net::Node {
 
   void PrepareNow(TxnState st, bool conditional, TxnId condition_on);
   void ServeReads(TxnState& st);
+  /// Sends this partition's prepare vote to `coordinator`.
+  void SendVote(net::NodeId coordinator, NattoVote vote);
 
   /// Priority-aborts a queued low-priority transaction.
   void PriorityAbort(const TxnState& victim);

@@ -202,12 +202,7 @@ void SpannerServer::ServeReads(TxnId id) {
   if (obs::Tracer* tr = engine_->cluster()->tracer()) {
     tr->SpanEnd(id, "read_lock", partition_, TrueNow());
   }
-  std::vector<txn::ReadResult> results;
-  results.reserve(lt.read_keys.size());
-  for (Key k : lt.read_keys) {
-    store::VersionedValue v = kv_.Get(k);
-    results.push_back(txn::ReadResult{k, v.value, v.version});
-  }
+  std::vector<txn::ReadResult> results = txn::ReadAll(kv_, lt.read_keys);
   auto* gw = engine_->gateway_by_node(lt.meta.client);
   int partition = partition_;
   SendTo(lt.meta.client, WireKvBytes(results.size()),
@@ -232,7 +227,6 @@ void SpannerServer::HandlePrepare(const SpannerTxnMeta& meta,
   LocalTxn& lt = txns_[meta.id];  // created here for write-only participants
   lt.meta = meta;
   lt.writes = std::move(writes);
-  lt.preparing = true;
   if (obs::Tracer* tr = engine_->cluster()->tracer()) {
     tr->SpanBegin(meta.id, "prepare", partition_, TrueNow());
   }
@@ -258,7 +252,6 @@ void SpannerServer::FinishPrepare(TxnId id) {
       co->HandleVote(id, partition, /*ok=*/true);
     });
   };
-  lt.prepare_voted = true;
   if (lt.writes.empty()) {
     // Read-only participant: nothing to make durable.
     vote();
@@ -480,9 +473,7 @@ void SpannerGateway::SendRound2(
     });
     return;
   }
-  // Round 2 is charged as a header-only message: the write values were never
-  // counted on the wire, and the goldens and benchmark ceilings pin that.
-  SendTo(coord->id(), kMessageHeaderBytes,
+  SendTo(coord->id(), txn::kRound2Bytes,
          [coord, id, writes = st.writes]() {
            coord->HandleRound2(id, writes, /*user_abort=*/false);
          });

@@ -59,7 +59,6 @@ class SpannerServer : public net::Node {
   void HandleAbort(TxnId id);
 
   store::KvStore* kv() { return &kv_; }
-  const store::LockTable& locks() const { return locks_; }
 
  private:
   struct LocalTxn {
@@ -68,8 +67,6 @@ class SpannerServer : public net::Node {
     std::vector<Key> read_keys;
     std::vector<std::pair<Key, Value>> writes;
     bool reads_served = false;
-    bool prepare_voted = false;
-    bool preparing = false;
   };
 
   /// Applies wound-wait + preemption to the blockers of `meta`'s request.

@@ -16,7 +16,6 @@ TapirReplica::TapirReplica(TapirEngine* engine, int partition, int replica,
     : net::Node(engine->cluster()->transport(), site, clock),
       engine_(engine),
       partition_(partition),
-      replica_(replica),
       kv_(engine->cluster()->options().default_value) {
   obs::MetricsRegistry* m = engine->cluster()->metrics();
   const std::string prefix = "tapir.replica.p" + std::to_string(partition) +
@@ -26,12 +25,7 @@ TapirReplica::TapirReplica(TapirEngine* engine, int partition, int replica,
 
 void TapirReplica::HandleGet(TxnId id, std::vector<Key> keys,
                              net::NodeId reply_to) {
-  std::vector<txn::ReadResult> results;
-  results.reserve(keys.size());
-  for (Key k : keys) {
-    store::VersionedValue v = kv_.Get(k);
-    results.push_back(txn::ReadResult{k, v.value, v.version});
-  }
+  std::vector<txn::ReadResult> results = txn::ReadAll(kv_, keys);
   auto* gw = engine_->gateway_by_node(reply_to);
   int partition = partition_;
   SendTo(reply_to, WireKvBytes(results.size()),
@@ -291,15 +285,8 @@ void TapirGateway::Decide(TxnId id, bool commit, obs::AbortCause cause) {
   const txn::Topology& topo = engine_->cluster()->topology();
   for (int p : st->participants) {
     for (int r = 0; r < topo.num_replicas(); ++r) {
-      auto* rep = engine_->replica(p, r);
-      if (commit) {
-        auto writes = topo.LocalEntries(st->writes, p);
-        SendTo(rep->id(), WireKvBytes(writes.size()),
-               [rep, id, writes]() { rep->HandleCommit(id, writes); });
-      } else {
-        SendTo(rep->id(), kMessageHeaderBytes,
-               [rep, id]() { rep->HandleAbort(id); });
-      }
+      txn::SendOutcome(this, engine_->replica(p, r), id, commit, topo, p,
+                       st->writes);
     }
   }
   // The decision fan-out is latency-critical: push any batched envelopes onto

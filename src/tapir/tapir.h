@@ -46,8 +46,6 @@ class TapirReplica : public net::Node {
   void HandleAbort(TxnId id);
 
   store::KvStore* kv() { return &kv_; }
-  int partition() const { return partition_; }
-  int replica_index() const { return replica_; }
 
  private:
   bool Validates(const std::vector<std::pair<Key, uint64_t>>& read_versions,
@@ -55,7 +53,6 @@ class TapirReplica : public net::Node {
 
   TapirEngine* engine_;
   int partition_;
-  int replica_;
   store::KvStore kv_;
   store::PreparedSet prepared_;
   std::unordered_set<TxnId> finished_;

@@ -15,6 +15,17 @@ void DecisionCounters::Record(obs::Tracer* tracer, TxnId id, bool commit,
   }
 }
 
+std::vector<ReadResult> ReadAll(const store::KvStore& kv,
+                                const std::vector<Key>& keys) {
+  std::vector<ReadResult> results;
+  results.reserve(keys.size());
+  for (Key k : keys) {
+    store::VersionedValue v = kv.Get(k);
+    results.push_back(ReadResult{k, v.value, v.version});
+  }
+  return results;
+}
+
 // ---------------------------------------------------------------------------
 // GatewayBase
 // ---------------------------------------------------------------------------

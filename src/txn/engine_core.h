@@ -17,6 +17,7 @@
 #include "obs/abort_cause.h"
 #include "obs/metrics.h"
 #include "raft/raft.h"
+#include "store/kv_store.h"
 #include "txn/cluster.h"
 #include "txn/transaction.h"
 
@@ -42,9 +43,14 @@ class DecisionCounters {
   obs::Counter* aborts_;
 };
 
-// ---------------------------------------------------------------------------
-// Client side
-// ---------------------------------------------------------------------------
+/// Round-1 results for `keys` from `kv`, in order.
+std::vector<ReadResult> ReadAll(const store::KvStore& kv,
+                                const std::vector<Key>& keys);
+
+/// Wire size of a round-2 message before any per-engine extras: the header
+/// only. The write values were never counted on the wire, and the goldens
+/// and benchmark ceilings pin that size.
+inline constexpr size_t kRound2Bytes = kMessageHeaderBytes;
 
 /// Per-attempt state every gateway keeps. Engines derive from it to add
 /// their own.
@@ -159,9 +165,21 @@ class GatewayCore : public GatewayBase {
   std::unordered_map<TxnId, T> txns_;
 };
 
-// ---------------------------------------------------------------------------
-// Coordinator side
-// ---------------------------------------------------------------------------
+/// Sends the decision on `id` from `from` to participant node `to`: a commit
+/// carrying the writes whose keys live on `partition`, or an abort.
+template <typename Participant>
+void SendOutcome(net::Node* from, Participant* to, TxnId id, bool commit,
+                 const Topology& topo, int partition,
+                 const std::vector<std::pair<Key, Value>>& writes) {
+  if (commit) {
+    auto local = topo.LocalEntries(writes, partition);
+    from->SendTo(to->id(), WireKvBytes(local.size()),
+                 [to, id, local]() { to->HandleCommit(id, local); });
+  } else {
+    from->SendTo(to->id(), kMessageHeaderBytes,
+                 [to, id]() { to->HandleAbort(id); });
+  }
+}
 
 /// Per-transaction state every 2PC coordinator keeps. Engines derive from
 /// it to add their votes.
@@ -293,10 +311,6 @@ class CoordinatorCore : public CoordinatorBase {
   std::unordered_map<TxnId, State> txns_;
   std::unordered_set<TxnId> decided_;
 };
-
-// ---------------------------------------------------------------------------
-// Engine
-// ---------------------------------------------------------------------------
 
 /// One node per site, plus the node-id index message closures resolve
 /// their targets with.
