@@ -374,9 +374,7 @@ double RunParallelWindowsOnce(int threads, uint64_t total_events,
 
   sim::Simulator sim;
   if (threads > 1) {
-    // No cancels in this workload: skip the provisional-id bookkeeping.
-    sim.ConfigureParallel(sim::ParallelOptions{threads, kSites, kLookahead,
-                                               /*track_cancel_ids=*/false});
+    sim.ConfigureParallel(sim::ParallelOptions{threads, kSites, kLookahead});
     sim.SetParallelPhaseStats(stats);
   }
   std::unique_ptr<sim::DeterminismLedger> ledger;

@@ -1,7 +1,6 @@
 #ifndef NATTO_NET_TRANSPORT_H_
 #define NATTO_NET_TRANSPORT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -194,13 +193,15 @@ class Transport {
   void SetLinkOverlay(int from_site, int to_site, double extra_loss,
                       SimDuration extra_delay, SimTime until);
 
-  /// Mirrors the traffic counters into `registry` (`net.messages_sent`,
+  /// Exposes the traffic counters in `registry` (`net.messages_sent`,
   /// `net.bytes_sent`, `net.messages_delivered`, `net.messages_dropped`,
   /// `net.messages_lost`, the per-reason split
   /// `net.dropped.{loss,crash,partition}`, the delivery-time subset
-  /// `net.dropped.in_flight`, and the batching pair `net.batches_sent` /
-  /// `net.msgs_per_batch`). Optional: transports built directly in tests
-  /// skip this.
+  /// `net.dropped.in_flight`, `net.stall_deferrals`, and the batching pair
+  /// `net.batches_sent` / `net.msgs_per_batch`). The counters are counter
+  /// sources that read the accessors below at Snapshot() time, so the
+  /// registry must not be snapshotted after this transport is destroyed.
+  /// Optional: transports built directly in tests skip this.
   void RegisterMetrics(obs::MetricsRegistry* registry);
 
   sim::Simulator* simulator() { return simulator_; }
@@ -215,39 +216,52 @@ class Transport {
   /// `messages_dropped` and `delivery_drops`. The invariant
   ///   messages_sent == messages_delivered + messages_in_flight
   ///                    + delivery_drops
-  /// holds after every Send/Deliver (net_test and fault_test assert it,
-  /// including under chaos schedules).
-  uint64_t messages_sent() const { return messages_sent_; }
-  uint64_t bytes_sent() const { return bytes_sent_; }
-  uint64_t messages_delivered() const { return messages_delivered_; }
+  /// holds whenever no window of the site-parallel kernel is in flight
+  /// (net_test and fault_test assert it under chaos schedules,
+  /// site_parallel_test on worker lanes). The accessors sum the per-lane
+  /// counters, so call them from the main thread between runs.
+  uint64_t messages_sent() const { return Total(&Traffic::sent); }
+  uint64_t bytes_sent() const { return Total(&Traffic::bytes); }
+  uint64_t messages_delivered() const { return Total(&Traffic::delivered); }
   /// Messages sent but not yet resolved: queued in an open batch, or
   /// scheduled on the wire.
-  uint64_t messages_in_flight() const { return messages_in_flight_; }
+  uint64_t messages_in_flight() const;
   /// Delivery-time drops (a subset of messages_dropped).
-  uint64_t delivery_drops() const { return delivery_drops_; }
-  uint64_t messages_dropped() const { return messages_dropped_; }
-  uint64_t messages_lost() const { return messages_lost_; }
+  uint64_t delivery_drops() const { return Total(&Traffic::delivery_drops); }
+  uint64_t messages_dropped() const { return Total(&Traffic::dropped); }
+  uint64_t messages_lost() const { return Total(&Traffic::lost); }
 
   /// Wire frames actually emitted. With batching off this equals
   /// messages_sent (every message is its own frame); with batching on it
   /// counts flushed batches, so messages_sent / batches_sent is the
   /// amortization factor benches report as msgs-per-wire-frame.
-  uint64_t batches_sent() const { return batches_sent_; }
+  uint64_t batches_sent() const { return Total(&Traffic::batches); }
 
   /// Service messages whose processing (or emission) was deferred by an
   /// active `stall` gray fault. Deferred messages stay in flight — the
   /// accounting invariant above is unchanged by stalls.
-  uint64_t stall_deferrals() const { return stall_deferrals_; }
+  uint64_t stall_deferrals() const { return Total(&Traffic::stall_deferrals); }
 
   /// Drop attribution: dropped == dropped_crash + dropped_partition +
   /// dropped_loss (overlay hard drops; baseline packet loss is modeled as
   /// retransmission delay and counted under messages_lost instead).
-  uint64_t dropped_crash() const { return dropped_crash_; }
-  uint64_t dropped_partition() const { return dropped_partition_; }
-  uint64_t dropped_loss() const { return dropped_loss_; }
+  uint64_t dropped_crash() const { return Total(&Traffic::crash); }
+  uint64_t dropped_partition() const { return Total(&Traffic::partition); }
+  uint64_t dropped_loss() const { return Total(&Traffic::loss); }
 
  private:
-  enum class DropReason { kCrash, kPartition, kLoss };
+  /// One execution lane's traffic counters (lanes as for envelope_pools_;
+  /// crash/partition/loss split `dropped` by reason). Only the lane's own
+  /// thread writes its block, so the adds are plain; the alignment keeps
+  /// lanes off each other's cache lines. A message may be sent on one lane
+  /// and resolved on another, so a lane's `in_flight` can go negative;
+  /// only the sum over lanes is meaningful.
+  struct alignas(64) Traffic {
+    uint64_t sent = 0, bytes = 0, delivered = 0, delivery_drops = 0;
+    uint64_t dropped = 0, crash = 0, partition = 0, loss = 0;
+    uint64_t lost = 0, batches = 0, stall_deferrals = 0;
+    int64_t in_flight = 0;
+  };
 
   /// One in-flight message. Envelopes are pool-owned and recycled at
   /// delivery (or drop), so a ping-pong storm reuses the same few nodes;
@@ -281,7 +295,7 @@ class Transport {
     sim::Simulator::EventId timer_id = 0;
   };
 
-  Envelope* AllocEnvelope();
+  Envelope* AllocEnvelope(size_t lane);
   /// Runs the delivery-time fault re-checks, recycles `env`, and invokes
   /// the closure (unless the message was eaten by a crash/partition).
   void Deliver(Envelope* env);
@@ -300,7 +314,13 @@ class Transport {
   /// it (enforced by the nattolint natto-batch-bypass rule).
   void ScheduleWireDelivery(SimTime at, Envelope* env);
 
-  void CountDrop(DropReason reason);
+  /// Sum of one counter over the lanes.
+  uint64_t Total(uint64_t Traffic::*field) const;
+  /// Counts a drop and its `reason` (&Traffic::crash, partition or loss).
+  static void CountDrop(Traffic& c, uint64_t Traffic::*reason) {
+    ++c.dropped;
+    ++(c.*reason);
+  }
   /// Serialization start bookkeeping per directed site pair.
   SimTime& LinkFreeAt(int from_site, int to_site);
 
@@ -351,22 +371,9 @@ class Transport {
   /// runs. Ordered map: iteration order must not depend on hash layout.
   std::map<std::pair<int, int>, LinkOverlay> link_overlays_;
 
-  /// Traffic counters are atomics so Send/Deliver may run on the parallel
-  /// kernel's worker lanes (each message is sent and delivered once, so
-  /// relaxed RMW totals are exact; cross-thread ordering comes from the
-  /// kernel's window barrier). Serial cost: one locked add on x86.
-  std::atomic<uint64_t> messages_sent_{0};
-  std::atomic<uint64_t> bytes_sent_{0};
-  std::atomic<uint64_t> messages_delivered_{0};
-  std::atomic<uint64_t> messages_in_flight_{0};
-  std::atomic<uint64_t> delivery_drops_{0};
-  std::atomic<uint64_t> messages_dropped_{0};
-  std::atomic<uint64_t> messages_lost_{0};
-  std::atomic<uint64_t> dropped_crash_{0};
-  std::atomic<uint64_t> dropped_partition_{0};
-  std::atomic<uint64_t> dropped_loss_{0};
-  std::atomic<uint64_t> batches_sent_{0};
-  std::atomic<uint64_t> stall_deferrals_{0};
+  /// Indexed by lane; the kernel's window barrier orders the lanes'
+  /// writes before any main-thread read.
+  std::vector<Traffic> traffic_;
 
   /// Envelope pool: chunked storage plus an intrusive free list, one pool
   /// per execution lane (lane 0 = main thread / serial kernel; 1 + site on
@@ -379,18 +386,7 @@ class Transport {
   };
   std::vector<EnvelopePool> envelope_pools_;
 
-  // Registry mirrors; null until RegisterMetrics.
-  obs::Counter* messages_sent_metric_ = nullptr;
-  obs::Counter* bytes_sent_metric_ = nullptr;
-  obs::Counter* messages_delivered_metric_ = nullptr;
-  obs::Counter* messages_dropped_metric_ = nullptr;
-  obs::Counter* messages_lost_metric_ = nullptr;
-  obs::Counter* dropped_crash_metric_ = nullptr;
-  obs::Counter* dropped_partition_metric_ = nullptr;
-  obs::Counter* dropped_loss_metric_ = nullptr;
-  obs::Counter* delivery_drops_metric_ = nullptr;
-  obs::Counter* batches_sent_metric_ = nullptr;
-  obs::Counter* stall_deferrals_metric_ = nullptr;
+  /// Batch-size histogram; null until RegisterMetrics.
   obs::Histogram* msgs_per_batch_metric_ = nullptr;
 };
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 namespace natto::obs {
 
@@ -124,9 +125,17 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
   return histograms_[name] = &histogram_storage_.back();
 }
 
+void MetricsRegistry::AddCounterSource(const std::string& name,
+                                       std::function<int64_t()> read) {
+  counter_sources_.emplace_back(name, std::move(read));
+}
+
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot snap;
   for (const auto& [name, c] : counters_) snap.counters[name] = c->value();
+  for (const auto& [name, read] : counter_sources_) {
+    snap.counters[name] += read();
+  }
   for (const auto& [name, g] : gauges_) snap.gauges[name] = g->value();
   for (const auto& [name, h] : histograms_) {
     HistogramData d;

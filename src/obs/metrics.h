@@ -4,8 +4,10 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace natto::obs {
@@ -96,6 +98,10 @@ struct MetricsSnapshot {
 /// increments through handles are atomic, so worker-lane callbacks under the
 /// parallel kernel may bump them concurrently; the parallel experiment
 /// runner additionally gives every cell its own registry.
+///
+/// A component that already keeps its own counts (the transport's per-lane
+/// traffic counters) registers a counter *source* instead of a Counter: a
+/// read function that Snapshot() calls, so nothing is counted twice.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -105,6 +111,12 @@ class MetricsRegistry {
   Counter* GetCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
+
+  /// Registers `read` as the source of counter `name`: Snapshot() reports
+  /// its return value, summed with any Counter or other source of the same
+  /// name. `read` runs on the snapshotting thread and whatever it reads
+  /// must outlive every later Snapshot() of this registry.
+  void AddCounterSource(const std::string& name, std::function<int64_t()> read);
 
   MetricsSnapshot Snapshot() const;
 
@@ -116,6 +128,8 @@ class MetricsRegistry {
   std::map<std::string, Counter*> counters_;
   std::map<std::string, Gauge*> gauges_;
   std::map<std::string, Histogram*> histograms_;
+  std::vector<std::pair<std::string, std::function<int64_t()>>>
+      counter_sources_;
 };
 
 }  // namespace natto::obs

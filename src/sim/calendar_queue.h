@@ -22,6 +22,11 @@ struct EventNode {
   /// (sim/dsan.h) as a process-independent scheduling-site tag; the store
   /// is unconditional because it is cheaper than a branch.
   uint64_t parent_seq = 0;
+  /// The id Cancel() knows this event by, which is what tombstones key on.
+  /// Equals `seq` except for an event a site-parallel worker deferred to
+  /// the window barrier: the merge pushes it with its canonical seq but
+  /// keeps the provisional id the scheduler was handed (parallel_kernel.cc).
+  uint64_t handle = 0;
   EventNode* next = nullptr;
   EventFn fn;
 };
@@ -76,13 +81,20 @@ class CalendarQueue {
 
   /// Inserts an event. `t` must be >= the time of the last popped event
   /// (the simulator clamps to Now() first) and `seq` strictly larger than
-  /// every previously pushed seq.
+  /// every previously pushed seq. The event's Cancel handle is its seq.
   void Push(SimTime t, uint64_t seq, EventFn fn,
             uint64_t parent_seq = ~uint64_t{0}) {
+    Push(t, seq, seq, std::move(fn), parent_seq);
+  }
+
+  /// Push with a Cancel handle other than `seq` (see EventNode::handle).
+  void Push(SimTime t, uint64_t seq, uint64_t handle, EventFn&& fn,
+            uint64_t parent_seq) {
     EventNode* n = AllocNode();
     n->time = t;
     n->seq = seq;
     n->parent_seq = parent_seq;
+    n->handle = handle;
     n->next = nullptr;
     n->fn = std::move(fn);
     ++size_;
@@ -97,9 +109,9 @@ class CalendarQueue {
     //
     // Cancellation audit: a cancelled event may cross the horizon here (or
     // in the pop-side pull-in above) after its tombstone was laid. That is
-    // safe because tombstones live in the *simulator* keyed by seq, not in
-    // this structure: migration moves the node with its seq intact, and the
-    // discard happens wherever the node eventually pops.
+    // safe because tombstones live in the *simulator* keyed by handle, not
+    // in this structure: migration moves the node with its handle intact,
+    // and the discard happens wherever the node eventually pops.
     // sim_kernel_test.cc (CancelSurvivesOverflowMigration) pins this.
     while (!overflow_.empty() && (overflow_[0]->time >> kBucketShift) <= b) {
       RingAppend(OverflowPop());

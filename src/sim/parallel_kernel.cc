@@ -4,6 +4,7 @@
 #include <ctime>
 
 #include <algorithm>
+#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
@@ -19,7 +20,8 @@ namespace {
 /// than every canonical seq a window can contain, matching serial seq
 /// monotonicity), originating site in bits 48..62, a persistent per-site
 /// counter below. The counter is never reset: a provisional id stays a
-/// unique key for the lifetime of the run (prov2canon_ relies on this).
+/// unique Cancel handle for the lifetime of the run, so tombstones can key
+/// on it after its event was pushed with a canonical seq.
 constexpr uint64_t kProvBit = uint64_t{1} << 63;
 constexpr int kProvSiteShift = 48;
 constexpr uint64_t kProvCounterMask = (uint64_t{1} << kProvSiteShift) - 1;
@@ -49,7 +51,7 @@ struct WorkerOp {
   /// kSchedule only: event was pushed live into the owning site's queue
   /// (same site, fires inside the window) rather than deferred.
   bool live;
-  uint64_t id;  // kSchedule: provisional id; kCancel: tombstone key
+  uint64_t id;  // kSchedule: provisional id; kCancel: the handle cancelled
   int dst_site;
   SimTime time;
   /// kSchedule (deferred) and kSideEffect: index into
@@ -63,6 +65,7 @@ struct ExecRecord {
   SimTime time;
   uint64_t id;          // canonical seq or this-window provisional id
   uint64_t parent;      // as stored on the node
+  uint64_t handle;      // as stored on the node (the tombstone key)
   bool discarded;       // tombstoned: no callback ran, clock untouched
   uint64_t rng_delta;   // instrumented draws made by this callback
   uint32_t first_op;    // [first_op, first_op + num_ops) in ops
@@ -86,9 +89,10 @@ struct ParallelSiteContext {
   SimTime local_now = 0;
   /// Persistent provisional-id counter (never reset; see kProvBit).
   uint64_t next_provisional = 0;
-  /// next_provisional at window dispatch; ids at or above it were issued
-  /// this window. Written by the main thread before dispatch, read-only
-  /// during the window (any worker may consult any site's floor).
+  /// next_provisional as of the last barrier; ids at or above it were
+  /// issued this window. Written by the main thread at the merge, read-only
+  /// during the window (any worker may consult any site's floor, never its
+  /// moving counter).
   uint64_t prov_floor = 0;
   /// Provisional id of the event whose callback is running (causal parent).
   uint64_t firing_id = Simulator::kNoParent;
@@ -104,8 +108,9 @@ struct ParallelSiteContext {
   size_t cursor = 0;
   /// Canonical seqs assigned to this window's provisional ids, filled in
   /// issue order during the merge: canon[counter - prov_floor] = seq.
-  /// Per-site counters are dense, so this replaces a hashmap on the merge
-  /// hot path; prov2canon_ only keeps cross-window (deferred) mappings.
+  /// Per-site counters are dense, so the merge resolves ids (for ordering
+  /// and dsan parents) without hashing. Nothing needs the mapping after
+  /// the window: Cancel keys on the provisional id itself.
   std::vector<uint64_t> canon;
   /// Resolved id of log[cursor]; maintained by MergeWindow so the pick
   /// loop compares heads without re-resolving them every iteration.
@@ -177,8 +182,7 @@ void Simulator::ParallelRun(SimTime limit, bool settle) {
 ParallelKernel::ParallelKernel(Simulator* sim, const ParallelOptions& options)
     : sim_(sim),
       num_sites_(options.num_sites),
-      lookahead_(options.lookahead),
-      track_cancel_ids_(options.track_cancel_ids) {
+      lookahead_(options.lookahead) {
   NATTO_CHECK(options.num_threads >= 2);
   NATTO_CHECK(num_sites_ >= 0 && num_sites_ < kMaxSites);
   NATTO_CHECK(lookahead_ >= 0);
@@ -268,18 +272,8 @@ bool ParallelKernel::MainCancel(uint64_t id) {
   NATTO_DCHECK(!merging_)
       << "DeferOrdered callbacks must not cancel events (the merge replay "
          "owns the tombstone set)";
-  uint64_t key = id;
-  if ((key & kProvBit) != 0 && key != Simulator::kNoParent) {
-    auto it = prov2canon_.find(key);
-    // Unknown provisional id: either never issued, or its event already
-    // fired and the mapping was pruned. Serial code would insert a stale
-    // tombstone for the latter; here the cancel is reported ineffective —
-    // the documented deviation bought by bounded mapping memory.
-    if (it == prov2canon_.end()) return false;
-    key = it->second;
-  }
-  if (key >= sim_->next_seq_) return false;
-  return sim_->cancelled_.insert(key).second;
+  if (!Issued(id, nullptr)) return false;
+  return sim_->cancelled_.insert(id).second;
 }
 
 uint64_t ParallelKernel::WorkerSchedule(ParallelSiteContext& ctx, int site,
@@ -312,39 +306,32 @@ uint64_t ParallelKernel::WorkerSchedule(ParallelSiteContext& ctx, int site,
 }
 
 bool ParallelKernel::WorkerCancel(ParallelSiteContext& ctx, uint64_t id) {
-  uint64_t key = id;
-  if ((key & kProvBit) != 0 && key != Simulator::kNoParent) {
-    int psite = ProvSite(key);
-    if (psite >= num_sites_) return false;
-    if ((key & kProvCounterMask) <
-        sites_[static_cast<size_t>(psite)]->prov_floor) {
-      // Issued by an earlier window: resolvable iff still mapped
-      // (prov2canon_ is read-only while workers run).
-      auto it = prov2canon_.find(key);
-      if (it == prov2canon_.end()) return false;
-      key = it->second;
-    }
-    // Else: issued this window; the live node / deferred op carries the
-    // provisional id itself, so it is the tombstone key.
-  }
-  auto it = ctx.overlay.find(key);
+  if (!Issued(id, &ctx)) return false;
+  auto it = ctx.overlay.find(id);
   if (it != ctx.overlay.end()) {
     if (it->second) return false;  // already cancelled this window
     // Consumed tombstone: serial Cancel after the discard re-inserts (a
     // stale tombstone) and reports success. Mirror it.
     it->second = true;
-    ctx.ops.push_back(WorkerOp{WorkerOp::kCancel, false, key, 0, 0, 0});
-    return true;
-  }
-  if ((key & kProvBit) == 0) {
-    if (key >= sim_->next_seq_) return false;
-    if (!sim_->cancelled_.empty() && sim_->cancelled_.count(key) > 0) {
-      return false;  // pre-window tombstone still pending
+  } else {
+    if (!sim_->cancelled_.empty() && sim_->cancelled_.count(id) > 0) {
+      return false;  // pre-window tombstone, pending or stale
     }
+    ctx.overlay.emplace(id, true);
   }
-  ctx.overlay.emplace(key, true);
-  ctx.ops.push_back(WorkerOp{WorkerOp::kCancel, false, key, 0, 0, 0});
+  ctx.ops.push_back(WorkerOp{WorkerOp::kCancel, false, id, 0, 0, 0});
   return true;
+}
+
+bool ParallelKernel::Issued(uint64_t id,
+                            const ParallelSiteContext* caller) const {
+  if ((id & kProvBit) == 0) return id < sim_->next_seq_;
+  int psite = ProvSite(id);  // kNoParent decodes past every site
+  if (psite >= num_sites_) return false;
+  uint64_t counter = id & kProvCounterMask;
+  return counter < sites_[static_cast<size_t>(psite)]->prov_floor ||
+         (caller != nullptr && caller->site == psite &&
+          counter < caller->next_provisional);
 }
 
 void ParallelKernel::RunUntilTime(SimTime limit, bool settle) {
@@ -413,7 +400,7 @@ void ParallelKernel::SerializedFire(int site) {
                          : sites_[static_cast<size_t>(site)]->queue;
   EventNode* n = q.PopIfAtMost(kSimTimeMax);  // the head we just peeked
   NATTO_DCHECK(n != nullptr);
-  if (!sim_->cancelled_.empty() && sim_->cancelled_.erase(n->seq) > 0) {
+  if (!sim_->cancelled_.empty() && sim_->cancelled_.erase(n->handle) > 0) {
     // Recycle into the origin queue: node chunks are pool-owned, and a
     // node must never migrate to another pool's free list.
     q.Recycle(n);
@@ -441,7 +428,6 @@ void ParallelKernel::SerializedFire(int site) {
 void ParallelKernel::RunWindow(SimTime w_end) {
   window_end_ = w_end;
   draw_base_ = sim_->ledger_ != nullptr ? sim_->ledger_->LiveDrawTotal() : 0;
-  for (auto& ctx : sites_) ctx->prov_floor = ctx->next_provisional;
   next_site_.store(0, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -500,33 +486,35 @@ void ParallelKernel::RunSite(ParallelSiteContext& ctx) {
   tls_ctx = &ctx;
   EventNode* n;
   while ((n = ctx.queue.PopIfAtMost(window_end_ - 1)) != nullptr) {
-    uint64_t id = n->seq;
+    const uint64_t id = n->seq;
+    const uint64_t handle = n->handle;
     bool discard = false;
-    auto it = ctx.overlay.empty() ? ctx.overlay.end() : ctx.overlay.find(id);
+    auto it =
+        ctx.overlay.empty() ? ctx.overlay.end() : ctx.overlay.find(handle);
     if (it != ctx.overlay.end()) {
       if (it->second) {
         it->second = false;  // tombstone consumed
         discard = true;
       }
-    } else if (!sim_->cancelled_.empty() && sim_->cancelled_.count(id) > 0) {
+    } else if (!sim_->cancelled_.empty() &&
+               sim_->cancelled_.count(handle) > 0) {
       // Pre-window tombstone. The shared set is read-only during the
       // window; record the consumption locally (enabling serial re-cancel
       // semantics) and erase at merge.
-      ctx.overlay.emplace(id, false);
+      ctx.overlay.emplace(handle, false);
       discard = true;
     }
+    const auto first_op = static_cast<uint32_t>(ctx.ops.size());
     if (discard) {
-      ctx.log.push_back(ExecRecord{n->time, id, n->parent_seq, true, 0,
-                                   static_cast<uint32_t>(ctx.ops.size()), 0});
+      ctx.log.push_back(ExecRecord{n->time, id, n->parent_seq, handle, true,
+                                   0, first_op, 0});
       ctx.queue.Recycle(n);
       continue;
     }
     NATTO_DCHECK(n->time >= ctx.local_now);
     ctx.local_now = n->time;
     ctx.queue.AdvanceTo(ctx.local_now);
-    ExecRecord rec{n->time, id,    n->parent_seq,
-                   false,   0,     static_cast<uint32_t>(ctx.ops.size()),
-                   0};
+    ExecRecord rec{n->time, id, n->parent_seq, handle, false, 0, first_op, 0};
     ctx.firing_id = id;
     EventFn fn = std::move(n->fn);
     ctx.queue.Recycle(n);
@@ -544,8 +532,8 @@ void ParallelKernel::RunSite(ParallelSiteContext& ctx) {
 uint64_t ParallelKernel::ResolveId(uint64_t id) const {
   if ((id & kProvBit) == 0) return id;
   // Only this-window provisional ids reach the merge: deferred schedules
-  // are pushed with canonical seqs, so nothing provisional survives a
-  // window inside the queues. Dense per-site lookup, no hashing.
+  // are pushed with canonical seqs, so no queued seq stays provisional
+  // past its window (handles do). Dense per-site lookup, no hashing.
   const ParallelSiteContext& ctx = *sites_[static_cast<size_t>(ProvSite(id))];
   uint64_t idx = (id & kProvCounterMask) - ctx.prov_floor;
   NATTO_DCHECK(idx < ctx.canon.size());
@@ -558,14 +546,6 @@ uint64_t ParallelKernel::ResolveParent(uint64_t parent) const {
 }
 
 void ParallelKernel::MergeWindow() {
-  struct DeferredPush {
-    int dst_site;
-    SimTime time;
-    uint64_t seq;
-    uint64_t parent;
-    EventFn fn;
-  };
-  std::vector<DeferredPush> deferred;
   DeterminismLedger* ledger = sim_->ledger_;
   SimTime max_fired = sim_->now_;
   uint64_t draws = 0;
@@ -597,7 +577,7 @@ void ParallelKernel::MergeWindow() {
     uint64_t pick_id = pick->merge_head_id;
     const ExecRecord& rec = pick->log[pick->cursor++];
     if (rec.discarded) {
-      size_t erased = sim_->cancelled_.erase(pick_id);
+      size_t erased = sim_->cancelled_.erase(rec.handle);
       NATTO_DCHECK(erased == 1);
       (void)erased;
     } else {
@@ -618,15 +598,14 @@ void ParallelKernel::MergeWindow() {
         // a site's records in that same order, so a plain push lands the
         // mapping at canon[counter - prov_floor].
         pick->canon.push_back(seq);
-        if (track_cancel_ids_ && !op.live) {
-          // Deferred events outlive the window; keep a hashmap entry so
-          // later Cancels can still resolve the provisional id.
-          prov2canon_.emplace(op.id, seq);
-        }
         if (!op.live) {
-          deferred.push_back(
-              DeferredPush{op.dst_site, op.time, seq, pick_id,
-                           std::move(pick->deferred_fns[op.deferred_index])});
+          // Deferred schedules land here, at their op's canonical position,
+          // so each queue sees the serial push order; their times are >=
+          // window_end > max_fired, so per-timestamp FIFO invariants hold.
+          // The handle stays the provisional id the scheduler was handed.
+          sites_[static_cast<size_t>(op.dst_site)]->queue.Push(
+              op.time, seq, op.id,
+              std::move(pick->deferred_fns[op.deferred_index]), pick_id);
         }
       } else if (op.kind == WorkerOp::kSideEffect) {
         // DeferOrdered side effect: applied here, at its event's canonical
@@ -634,7 +613,7 @@ void ParallelKernel::MergeWindow() {
         // serial kernel would have run it inline.
         pick->deferred_fns[op.deferred_index]();
       } else {
-        bool inserted = sim_->cancelled_.insert(ResolveId(op.id)).second;
+        bool inserted = sim_->cancelled_.insert(op.id).second;
         NATTO_DCHECK(inserted);
         (void)inserted;
       }
@@ -644,14 +623,6 @@ void ParallelKernel::MergeWindow() {
     }
   }
   merging_ = false;
-
-  // Deferred schedules land with canonical seqs, already in serial push
-  // order (the replay above assigned seqs in merge order), and at times
-  // >= window_end > max_fired, so per-timestamp FIFO invariants hold.
-  for (DeferredPush& d : deferred) {
-    sites_[static_cast<size_t>(d.dst_site)]->queue.Push(
-        d.time, d.seq, std::move(d.fn), d.parent);
-  }
 
   if (ledger != nullptr) {
     // Every instrumented draw of the window was attributed to exactly one
@@ -670,6 +641,7 @@ void ParallelKernel::MergeWindow() {
     ctx->overlay.clear();
     ctx->cursor = 0;
     ctx->canon.clear();
+    ctx->prov_floor = ctx->next_provisional;
   }
 }
 

@@ -7,7 +7,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -50,9 +49,10 @@ struct ParallelPhaseStats {
 ///     same-site in-window schedules execute live. At the barrier the
 ///     per-site execution logs — each sorted by (time, seq) — are merged
 ///     into the exact serial order, canonical seqs are assigned by
-///     replaying the schedule ops in that order, and dsan records are
-///     folded in with reconstructed draw counts. The merged outcome is
-///     byte-identical to the serial kernel.
+///     replaying the schedule ops in that order (a deferred event is
+///     pushed right there, keeping its provisional id as its Cancel
+///     handle), and dsan records are folded in with reconstructed draw
+///     counts. The merged outcome is byte-identical to the serial kernel.
 ///   - *Serialized step*: otherwise (global-queue event at the head, or a
 ///     window made empty by a nearer global event) the main thread fires
 ///     exactly one event with plain serial semantics.
@@ -102,6 +102,9 @@ class ParallelKernel {
   uint64_t WorkerSchedule(ParallelSiteContext& ctx, int site, SimTime t,
                           EventFn fn);
   bool WorkerCancel(ParallelSiteContext& ctx, uint64_t id);
+  /// Whether Schedule ever returned `id`, judged from state that is stable
+  /// for `caller` (null = the main thread, outside windows).
+  bool Issued(uint64_t id, const ParallelSiteContext* caller) const;
 
   void SerializedFire(int site);
   void RunWindow(SimTime w_end);
@@ -116,7 +119,6 @@ class ParallelKernel {
   Simulator* const sim_;
   const int num_sites_;
   const SimDuration lookahead_;
-  const bool track_cancel_ids_;
   std::vector<std::unique_ptr<ParallelSiteContext>> sites_;
 
   /// Site a main-thread kInheritSite schedule routes to: the owning site
@@ -136,12 +138,6 @@ class ParallelKernel {
   /// workers except to test for null (per-site timings land in the site
   /// contexts and are folded by the main thread at the barrier).
   ParallelPhaseStats* phase_stats_ = nullptr;
-  /// Cross-window provisional EventIds -> canonical seqs: only events
-  /// scheduled by one window and still pending after it, and only while
-  /// `track_cancel_ids` (so later Cancels resolve), which grows one entry
-  /// per such schedule over the run. This-window ids resolve through the
-  /// dense per-site `canon` vectors instead (see ParallelSiteContext).
-  std::unordered_map<uint64_t, uint64_t> prov2canon_;
 
   // Worker pool. Dispatch is epoch-based: the main thread bumps epoch_
   // under mu_ and workers race through next_site_ claiming sites; the

@@ -48,7 +48,7 @@ bool Simulator::Cancel(EventId id) {
 }
 
 void Simulator::FireOrDiscard(EventNode* n) {
-  if (!cancelled_.empty() && cancelled_.erase(n->seq) > 0) {
+  if (!cancelled_.empty() && cancelled_.erase(n->handle) > 0) {
     // Tombstone: discard without running or advancing the clock.
     queue_.Recycle(n);
     return;

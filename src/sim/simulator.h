@@ -18,7 +18,9 @@ struct ParallelPhaseStats;
 
 /// Configuration for the intra-run parallel kernel (sim/parallel_kernel.h,
 /// DESIGN.md §4.11). Default-constructed options describe the serial
-/// kernel; ConfigureParallel with num_threads <= 1 is a no-op.
+/// kernel; ConfigureParallel with num_threads <= 1 is a no-op. No option
+/// changes what Schedule*, Cancel or DeferOrdered do; only a worker-lane
+/// Stop() lands later (see Stop()).
 struct ParallelOptions {
   /// Worker threads, including the caller (which participates in windows).
   int num_threads = 1;
@@ -30,11 +32,6 @@ struct ParallelOptions {
   /// may schedule onto *another* site no earlier than T + lookahead. 0
   /// forces every event through the serialized path (correct, no speedup).
   SimDuration lookahead = 0;
-  /// Keep provisional->canonical id mappings for events scheduled by one
-  /// window and still pending after it, so Cancel of such ids works from
-  /// later windows. Costs one hash entry per deferred cross-window
-  /// schedule; workloads that never cancel can turn it off.
-  bool track_cancel_ids = true;
 };
 
 /// Deterministic discrete-event simulator. All nodes (clients, servers,
@@ -105,8 +102,11 @@ class Simulator {
   /// Cancels a pending event: it will be discarded unexecuted (without
   /// advancing the clock) when its time arrives. Returns false if `id` was
   /// never issued or is already cancelled. Cancelling an id whose event
-  /// already ran is a harmless no-op (the tombstone is simply never hit);
-  /// the event still counts as pending until its slot drains.
+  /// already ran is a harmless no-op that still reports true (the tombstone
+  /// is simply never hit); the event still counts as pending until its slot
+  /// drains. Every kernel returns exactly these results: the site-parallel
+  /// kernel keys its tombstones by the id handed out here, which a node
+  /// keeps as EventNode::handle.
   bool Cancel(EventId id);
 
   /// Runs events until the queue drains or `Stop()` is called.
@@ -189,8 +189,9 @@ class Simulator {
   DeterminismLedger* ledger_ = nullptr;
   CalendarQueue queue_;
   std::unique_ptr<ParallelKernel> parallel_;
-  /// Tombstones for Cancel(); consulted only when non-empty, so the
-  /// fault-free hot path pays a single empty() test per event.
+  /// Tombstones for Cancel(), keyed by EventNode::handle; consulted only
+  /// when non-empty, so the fault-free hot path pays a single empty() test
+  /// per event.
   std::unordered_set<uint64_t> cancelled_;
 };
 

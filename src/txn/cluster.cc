@@ -28,15 +28,14 @@ Cluster::Cluster(net::LatencyMatrix matrix, Topology topology,
       rng_(options_.seed) {
   NATTO_CHECK(topology_.num_sites() <= matrix_.num_sites())
       << "topology uses more sites than the latency matrix defines";
-  const bool site_parallel_eligible = SiteParallelEligible();
-  if (site_parallel_eligible &&
+  if (SiteConfinedModel() &&
       (options_.transport.node_cost_per_message > 0 ||
        options_.transport.node_cost_per_kib > 0)) {
     // The CPU-cost model's FIFO queue is cross-site state when serviced at
-    // send time; eligible configs service at arrival on the receiver's
-    // lane instead. Decided by config alone (above), so serial and
-    // parallel runs of one config agree. Must precede transport
-    // construction.
+    // send time; site-confined configs service at arrival on the
+    // receiver's lane instead. Decided by the simulated config alone, so
+    // serial, parallel and traced runs of one config agree. Must precede
+    // transport construction.
     options_.transport.deferred_node_service = true;
   }
   if (options_.sim_threads > 1) {
@@ -45,9 +44,9 @@ Cluster::Cluster(net::LatencyMatrix matrix, Topology topology,
     // on the calling thread) otherwise. Both are byte-identical to serial
     // at any thread count. Must precede any scheduling — this is the first
     // simulator touch in construction.
-    int kernel_sites = site_parallel_eligible ? topology_.num_sites() : 0;
+    int kernel_sites = SiteParallelEligible() ? topology_.num_sites() : 0;
     simulator_.ConfigureParallel(sim::ParallelOptions{
-        options_.sim_threads, kernel_sites, ConservativeLookahead(), true});
+        options_.sim_threads, kernel_sites, ConservativeLookahead()});
     if (options_.parallel_phase_stats != nullptr) {
       // No-op unless the kernel is actually in site-parallel mode, so a
       // degenerate fallback never reports misleading window stats.
@@ -116,11 +115,15 @@ Cluster::Cluster(net::LatencyMatrix matrix, Topology topology,
 }
 
 bool Cluster::SiteParallelEligible() const {
+  return !options_.trace.enabled && SiteConfinedModel();
+}
+
+bool Cluster::SiteConfinedModel() const {
   const net::TransportOptions& t = options_.transport;
   bool stateless_wire = t.max_batch_bytes == 0 && t.packet_loss == 0.0 &&
                         t.link_bandwidth_bytes_per_sec == 0.0;
   return options_.fault_schedule.empty() && !options_.gray.enabled &&
-         !options_.trace.enabled && options_.delay_variance_ratio == 0.0 &&
+         options_.delay_variance_ratio == 0.0 &&
          options_.uniform_jitter == 0.0 && stateless_wire &&
          topology_.num_sites() >= 2 && ConservativeLookahead() > 0;
 }

@@ -169,15 +169,20 @@ class Cluster {
   /// Whether this deployment's *configuration* supports site-parallel
   /// windows. A pure function of the config — never of sim_threads — so a
   /// serial run and a parallel run of the same config make identical
-  /// decisions (notably TransportOptions::deferred_node_service) and stay
-  /// byte-identical. Eligible = fault-free (empty fault schedule, no gray
-  /// wiring), no tracer, deterministic constant delays, stateless wire (no
-  /// batching, loss, or capacity), at least two sites, and a positive
-  /// lookahead. Ineligible configs run degenerate mode under sim_threads>1,
-  /// which is byte-identical by construction.
+  /// decisions and stay byte-identical. Eligible = fault-free (empty fault
+  /// schedule, no gray wiring), no tracer, deterministic constant delays,
+  /// stateless wire (no batching, loss, or capacity), at least two sites,
+  /// and a positive lookahead. Ineligible configs run degenerate mode
+  /// under sim_threads>1, which is byte-identical by construction.
   bool SiteParallelEligible() const;
 
  private:
+  /// SiteParallelEligible() without the tracer term: whether the simulated
+  /// model itself is site-confined. It picks the CPU service model
+  /// (deferred_node_service), so switching the tracer on changes only the
+  /// kernel a run executes on, never a simulated number.
+  bool SiteConfinedModel() const;
+
   net::LatencyMatrix matrix_;
   Topology topology_;
   ClusterOptions options_;

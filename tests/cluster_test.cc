@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "harness/experiment.h"
+#include "harness/systems.h"
 #include "txn/cluster.h"
 #include "txn/topology.h"
+#include "workload/ycsbt.h"
 
 namespace natto::txn {
 namespace {
@@ -165,6 +170,46 @@ TEST(ClusterTest, MisSitedScheduleTripsDcheckUnderSiteParallel) {
   EXPECT_DEATH(c.simulator()->ScheduleAtSite(99, Millis(1), []() {}), "");
 }
 #endif
+
+TEST(ClusterTest, TracingLeavesCpuCostResultsUnchanged) {
+  // The tracer forces the serial kernel but must not change what is
+  // simulated: a site-confined config with the CPU-cost model services
+  // messages at arrival whether or not it is traced, so every latency and
+  // every counter match.
+  auto run = [](bool traced) {
+    harness::ExperimentConfig config;
+    config.matrix = net::LatencyMatrix::LocalTriangle();
+    config.num_partitions = 3;
+    config.num_replicas = 3;
+    config.input_rate_tps = 500;
+    config.duration = Seconds(1);
+    config.warmup = Millis(200);
+    config.cooldown = Millis(200);
+    config.drain = Seconds(1);
+    config.cluster.transport.node_cost_per_message = Micros(25);
+    config.cluster.trace.enabled = traced;
+    harness::WorkloadFactory workload = []() {
+      workload::YcsbTWorkload::Options o;
+      o.num_keys = 10000;
+      return std::make_unique<workload::YcsbTWorkload>(o);
+    };
+    return harness::RunOnce(
+        config, harness::MakeSystem(harness::SystemKind::kNattoRecsf),
+        workload, config.seed);
+  };
+  harness::RunStats untraced = run(false);
+  harness::RunStats traced = run(true);
+  ASSERT_GT(untraced.committed_high + untraced.committed_low, 0);
+  EXPECT_FALSE(traced.traces.empty());
+  EXPECT_EQ(traced.committed_high, untraced.committed_high);
+  EXPECT_EQ(traced.committed_low, untraced.committed_low);
+  EXPECT_EQ(traced.aborted_attempts, untraced.aborted_attempts);
+  EXPECT_EQ(traced.latencies_high_ms, untraced.latencies_high_ms);
+  EXPECT_EQ(traced.latencies_low_ms, untraced.latencies_low_ms);
+  EXPECT_TRUE(traced.metrics == untraced.metrics)
+      << "traced:   " << traced.metrics.ToJson()
+      << "\nuntraced: " << untraced.metrics.ToJson();
+}
 
 TEST(ClusterTest, RejectsTopologyLargerThanMatrix) {
   EXPECT_DEATH(

@@ -10,8 +10,11 @@
 // parallel kernel reproduces the exact serial total order, not just
 // per-site orders). The workload respects the kernel's determinism
 // contract: cross-site schedules land at Now() + lookahead or later, and
-// worker-side cancels only target the canceller's own site.
+// worker-side cancels only target the canceller's own site. Cancel targets
+// may already have fired (a stale cancel), whose result must match serial
+// too.
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -59,7 +62,7 @@ class SiteWorkload {
     if (threads_ > 1) {
       // Must precede any scheduling (the kernel owns event routing).
       sim.ConfigureParallel(
-          ParallelOptions{threads_, kSites, kLookahead, true});
+          ParallelOptions{threads_, kSites, kLookahead});
     }
     sim.set_ledger(&ledger);
 
@@ -105,10 +108,8 @@ class SiteWorkload {
     uint64_t next_marker = 0;
     std::vector<std::pair<SimTime, uint64_t>> trace;
     std::vector<bool> cancel_results;
-    // (id, fire time) of remembered same-site schedules; cancels only
-    // target entries with fire time > Now(), which are provably pending,
-    // so the Cancel return value is identical serial vs parallel.
-    std::vector<std::pair<Simulator::EventId, SimTime>> ids;
+    // Ids of remembered same-site schedules, pending or already fired.
+    std::vector<Simulator::EventId> ids;
   };
 
   // Schedules the next chain event for `dst` at absolute time `t`. Consumes
@@ -125,7 +126,7 @@ class SiteWorkload {
         dst, t, [this, dst, marker]() { OnFire(dst, marker); });
     // Only same-site (or main-thread) schedules are remembered for cancel:
     // a cross-site caller must not touch the destination's vectors.
-    if (acct < 0) sites_[dst].ids.emplace_back(id, t);
+    if (acct < 0) sites_[dst].ids.push_back(id);
   }
 
   void OnFire(int s, uint64_t marker) {
@@ -148,10 +149,9 @@ class SiteWorkload {
           if (st.budget == 0) continue;
           --st.budget;
           uint64_t m = (static_cast<uint64_t>(s) << 32) | st.next_marker++;
-          SimTime t = sim_->Now() + d;
           Simulator::EventId id =
               sim_->ScheduleAfter(d, [this, s, m]() { OnFire(s, m); });
-          st.ids.emplace_back(id, t);
+          st.ids.push_back(id);
         }
       } else if (roll < 55) {
         // Cross-site: the lookahead bound makes this legal mid-window.
@@ -180,8 +180,7 @@ class SiteWorkload {
     if (st.ids.empty()) return;
     size_t k = static_cast<size_t>(
         st.rng.UniformInt(0, static_cast<int64_t>(st.ids.size()) - 1));
-    if (st.ids[k].second <= sim_->Now()) return;  // maybe fired: stay exact
-    st.cancel_results.push_back(sim_->Cancel(st.ids[k].first));
+    st.cancel_results.push_back(sim_->Cancel(st.ids[k]));
     st.ids[k] = st.ids.back();
     st.ids.pop_back();
   }
@@ -242,7 +241,7 @@ TEST(ParallelKernelTest, DegenerateModeIsByteIdenticalToSerial) {
   auto run = [](bool parallel) {
     Simulator sim;
     if (parallel) {
-      sim.ConfigureParallel(ParallelOptions{4, 0, Millis(1), true});
+      sim.ConfigureParallel(ParallelOptions{4, 0, Millis(1)});
     }
     std::vector<std::pair<SimTime, int>> trace;
     for (int i = 0; i < 40; ++i) {
@@ -267,14 +266,18 @@ TEST(ParallelKernelTest, DegenerateModeIsByteIdenticalToSerial) {
 
 TEST(ParallelKernelTest, CrossSiteScheduleAtLookaheadFiresInOrder) {
   Simulator sim;
-  sim.ConfigureParallel(ParallelOptions{4, 2, kLookahead, true});
+  sim.ConfigureParallel(ParallelOptions{4, 2, kLookahead});
+  // Both sites' first events share a window and may run on two threads at
+  // once, so the shared trace is appended through DeferOrdered.
   std::vector<int> order;
+  auto record = [&sim, &order](int marker) {
+    sim.DeferOrdered([&order, marker]() { order.push_back(marker); });
+  };
   sim.ScheduleAtSite(0, Millis(1), [&]() {
-    order.push_back(0);
-    sim.ScheduleAtSite(1, sim.Now() + kLookahead,
-                       [&]() { order.push_back(2); });
+    record(0);
+    sim.ScheduleAtSite(1, sim.Now() + kLookahead, [&]() { record(2); });
   });
-  sim.ScheduleAtSite(1, Millis(2), [&]() { order.push_back(1); });
+  sim.ScheduleAtSite(1, Millis(2), [&]() { record(1); });
   sim.Run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(sim.Now(), Millis(1) + kLookahead);
@@ -283,7 +286,7 @@ TEST(ParallelKernelTest, CrossSiteScheduleAtLookaheadFiresInOrder) {
 
 TEST(ParallelKernelTest, InWindowScheduleThenCancelNeverFires) {
   Simulator sim;
-  sim.ConfigureParallel(ParallelOptions{4, 2, kLookahead, true});
+  sim.ConfigureParallel(ParallelOptions{4, 2, kLookahead});
   int fired = 0;
   bool cancel_ok = false;
   sim.ScheduleAtSite(0, Millis(1), [&]() {
@@ -304,8 +307,8 @@ TEST(ParallelKernelTest, InWindowScheduleThenCancelNeverFires) {
 
 TEST(ParallelKernelTest, StopFromWorkerTakesEffectAtTheBarrier) {
   Simulator sim;
-  sim.ConfigureParallel(ParallelOptions{4, 4, kLookahead, true});
-  int fired = 0;
+  sim.ConfigureParallel(ParallelOptions{4, 4, kLookahead});
+  std::atomic<int> fired{0};  // bumped from concurrent lanes
   // One event per site inside a single window; site 2's callback stops the
   // run. The whole window still completes (its merged outcome must be
   // deterministic), then Run() returns with the later events pending.
@@ -327,8 +330,8 @@ TEST(ParallelKernelTest, StopFromWorkerTakesEffectAtTheBarrier) {
 
 TEST(ParallelKernelTest, RunUntilStopsWindowsAtTheLimit) {
   Simulator sim;
-  sim.ConfigureParallel(ParallelOptions{4, 2, kLookahead, true});
-  int fired = 0;
+  sim.ConfigureParallel(ParallelOptions{4, 2, kLookahead});
+  std::atomic<int> fired{0};  // bumped from concurrent lanes
   sim.ScheduleAtSite(0, Millis(3), [&]() { ++fired; });
   sim.ScheduleAtSite(1, Millis(3), [&]() { ++fired; });
   sim.ScheduleAtSite(0, Millis(3) + 1, [&]() { ++fired; });

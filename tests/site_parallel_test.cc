@@ -20,7 +20,9 @@
 #include "harness/experiment.h"
 #include "harness/systems.h"
 #include "net/latency_matrix.h"
+#include "net/transport.h"
 #include "sim/dsan.h"
+#include "sim/parallel_kernel.h"
 #include "txn/cluster.h"
 #include "txn/topology.h"
 #include "workload/ycsbt.h"
@@ -212,6 +214,91 @@ TEST(SiteParallelTest, GrayFailureScheduleRunsLockstep) {
       .HealSites(Millis(4000), 0, 1);
   ExpectKernelMode(config, /*site_parallel=*/false, "gray");
   ExpectLockstep(config, MakeSystem(SystemKind::kNattoRecsf), "gray");
+}
+
+/// Traffic totals of one direct-cluster run, read from the transport's
+/// accessors at a RunUntil boundary.
+struct Traffic {
+  uint64_t sent, delivered, in_flight, delivery_drops, dropped, bytes;
+  bool operator==(const Traffic&) const = default;
+};
+
+/// Checks the accounting invariant and that the registry's `net.*`
+/// counters report exactly what the accessors sum over the lanes.
+Traffic CheckTraffic(txn::Cluster& c, const std::string& label) {
+  const net::Transport& t = *c.transport();
+  Traffic out{t.messages_sent(),      t.messages_delivered(),
+              t.messages_in_flight(), t.delivery_drops(),
+              t.messages_dropped(),   t.bytes_sent()};
+  EXPECT_EQ(out.sent, out.delivered + out.in_flight + out.delivery_drops)
+      << label;
+  obs::MetricsSnapshot snap = c.metrics()->Snapshot();
+  const std::pair<const char*, uint64_t> expected[] = {
+      {"net.messages_sent", t.messages_sent()},
+      {"net.bytes_sent", t.bytes_sent()},
+      {"net.messages_delivered", t.messages_delivered()},
+      {"net.messages_dropped", t.messages_dropped()},
+      {"net.messages_lost", t.messages_lost()},
+      {"net.dropped.crash", t.dropped_crash()},
+      {"net.dropped.partition", t.dropped_partition()},
+      {"net.dropped.loss", t.dropped_loss()},
+      {"net.dropped.in_flight", t.delivery_drops()},
+      {"net.batches_sent", t.batches_sent()},
+      {"net.stall_deferrals", t.stall_deferrals()},
+  };
+  for (const auto& [name, value] : expected) {
+    EXPECT_EQ(snap.counters.count(name), 1u) << label << ": " << name;
+    EXPECT_EQ(snap.counter(name), static_cast<int64_t>(value))
+        << label << ": " << name;
+  }
+  return out;
+}
+
+TEST(SiteParallelTest, TrafficAccountingHoldsOnWorkerLanes) {
+  // An eligible 3-site cluster, built directly: every partition leader
+  // proposes from its own site's lane, so under 4 kernel threads the
+  // transport sends and delivers on worker lanes and counts into per-lane
+  // blocks. A proposal every 250 us gives each window enough work that
+  // the workers really run sites concurrently (the tsan row relies on
+  // it). The lane sums must satisfy the accounting invariant mid-run
+  // (messages still in flight) and once drained, match the metrics
+  // snapshot, and equal the serial kernel's totals.
+  static constexpr int kProposals = 800;  // per leader
+  auto run = [](int threads) {
+    txn::ClusterOptions o;
+    o.max_clock_skew = 0;
+    o.sim_threads = threads;
+    sim::ParallelPhaseStats phases;
+    o.parallel_phase_stats = &phases;
+    txn::Cluster c(net::LatencyMatrix::AzureFive(),
+                   txn::Topology::Spread(3, 3, 3), o);
+    const std::string label = "threads=" + std::to_string(threads);
+    EXPECT_TRUE(c.SiteParallelEligible()) << label;
+    EXPECT_EQ(c.simulator()->site_parallel(), threads > 1) << label;
+    std::vector<int> committed(3, 0);  // one slot per leader lane
+    for (int p = 0; p < 3; ++p) {
+      raft::RaftReplica* leader = c.group(p)->leader();
+      int* done = &committed[static_cast<size_t>(p)];
+      for (int i = 0; i < kProposals; ++i) {
+        c.simulator()->ScheduleAtSite(
+            leader->site(), Millis(1) + Micros(250) * i, [leader, done]() {
+              (void)leader->Propose(1, [done]() { ++*done; });
+            });
+      }
+    }
+    c.simulator()->RunUntil(Millis(120));
+    Traffic mid = CheckTraffic(c, label + " mid-run");
+    EXPECT_GT(mid.in_flight, 0u) << label;
+    c.simulator()->RunUntil(Seconds(2));
+    Traffic drained = CheckTraffic(c, label + " drained");
+    EXPECT_GT(drained.delivered, 0u) << label;
+    EXPECT_EQ(committed, std::vector<int>(3, kProposals)) << label;
+    if (threads > 1) {
+      EXPECT_GT(phases.windows, 0u) << label;
+    }
+    return std::make_pair(mid, drained);
+  };
+  EXPECT_EQ(run(4), run(1));
 }
 
 }  // namespace
