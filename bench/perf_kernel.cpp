@@ -11,6 +11,8 @@
 //                   the full Send/deliver envelope path.
 //   fig7_ycsbt_cell one serial end-to-end harness::RunOnce YCSB+T cell —
 //                   what a figure-grid worker thread actually executes.
+//                   Reports committed transactions per rep and per p50
+//                   wall second, not events.
 //   parallel_windows  per-site event chains on a 4-site WAN grid run twice:
 //                   serial kernel vs the 4-thread site-parallel kernel
 //                   (sim/parallel_kernel.h). Reports the 4-thread
@@ -27,8 +29,10 @@
 //                   serial kernel vs NATTO_SIM_THREADS=4 site-parallel.
 //                   Same speedup/model/identity reporting as
 //                   parallel_windows, but with the real engine stack on the
-//                   per-site lanes. `--check-parallel-speedup=X` gates CI
-//                   on both suites' modeled speedup and output identity.
+//                   per-site lanes, and committed transactions in place of
+//                   events. `--check-parallel-speedup=X` gates CI on both
+//                   site-parallel suites' modeled speedup and output
+//                   identity.
 //
 // Allocation accounting: this TU replaces global operator new/delete with
 // counting forwarders to malloc/free. The schedule_fire and transport_echo
@@ -123,11 +127,16 @@ double Pct(std::vector<double> v, double p) {
 
 struct SuiteResult {
   std::string name;
+  /// Event suites: kernel events per rep and their p50 rates.
   uint64_t events_per_rep = 0;
   double wall_ms_p50 = 0;
   double wall_ms_p99 = 0;
   double events_per_sec_p50 = 0;
   double ns_per_event_p50 = 0;
+  /// End-to-end suites (fig7_ycsbt_cell, fig14_site_parallel) count
+  /// committed transactions instead; 0 marks an event suite.
+  uint64_t committed_txns_per_rep = 0;
+  double committed_txns_per_sec_p50 = 0;
   /// Allocations per event over the steady-state window; negative when the
   /// suite does not measure allocations (the e2e cell allocates by design:
   /// transactions carry vectors).
@@ -305,6 +314,14 @@ SuiteResult RunTransportEcho(const Options& opt) {
 // Suite 3: fig7-style end-to-end cell
 // ---------------------------------------------------------------------------
 
+/// Records an end-to-end suite's per-rep commit count and its rate over the
+/// suite's p50 wall time (set wall_ms_p50 first).
+void SetCommitted(SuiteResult& r, int64_t committed) {
+  r.committed_txns_per_rep = static_cast<uint64_t>(committed);
+  r.committed_txns_per_sec_p50 =
+      static_cast<double>(committed) / (r.wall_ms_p50 / 1e3);
+}
+
 SuiteResult RunFig7Cell(const Options& opt) {
   SuiteResult r;
   r.name = "fig7_ycsbt_cell";
@@ -337,9 +354,9 @@ SuiteResult RunFig7Cell(const Options& opt) {
     std::exit(1);
   }
 
-  r.events_per_rep = static_cast<uint64_t>(committed);
   r.wall_ms_p50 = Pct(wall_ns, 50) / 1e6;
   r.wall_ms_p99 = Pct(wall_ns, 99) / 1e6;
+  SetCommitted(r, committed);
   return r;
 }
 
@@ -589,9 +606,9 @@ SuiteResult RunFig14SiteParallel(const Options& opt) {
     std::exit(1);
   }
 
-  r.events_per_rep = static_cast<uint64_t>(committed);
   r.wall_ms_p50 = Pct(parallel_ns, 50) / 1e6;
   r.wall_ms_p99 = Pct(parallel_ns, 99) / 1e6;
+  SetCommitted(r, committed);
   r.speedup_4t_wall = Pct(serial_ns, 50) / Pct(parallel_ns, 50);
   r.speedup_4t_modeled = Pct(serial_ns, 50) / Pct(modeled_ns, 50);
   r.host_cpus = std::thread::hardware_concurrency();
@@ -614,14 +631,26 @@ void WriteJson(const Options& opt, const std::vector<SuiteResult>& results) {
   std::fprintf(f, "  \"reps\": %d,\n  \"suites\": [\n", opt.reps);
   for (size_t i = 0; i < results.size(); ++i) {
     const SuiteResult& r = results[i];
+    const bool txns = r.committed_txns_per_rep > 0;
     std::fprintf(f, "    {\n      \"name\": \"%s\",\n", r.name.c_str());
-    std::fprintf(f, "      \"events_per_rep\": %llu,\n",
-                 static_cast<unsigned long long>(r.events_per_rep));
+    if (txns) {
+      std::fprintf(f, "      \"committed_txns_per_rep\": %llu,\n",
+                   static_cast<unsigned long long>(r.committed_txns_per_rep));
+    } else {
+      std::fprintf(f, "      \"events_per_rep\": %llu,\n",
+                   static_cast<unsigned long long>(r.events_per_rep));
+    }
     std::fprintf(f, "      \"wall_ms_p50\": %.3f,\n", r.wall_ms_p50);
     std::fprintf(f, "      \"wall_ms_p99\": %.3f,\n", r.wall_ms_p99);
-    std::fprintf(f, "      \"events_per_sec_p50\": %.0f,\n",
-                 r.events_per_sec_p50);
-    std::fprintf(f, "      \"ns_per_event_p50\": %.2f,\n", r.ns_per_event_p50);
+    if (txns) {
+      std::fprintf(f, "      \"committed_txns_per_sec_p50\": %.1f,\n",
+                   r.committed_txns_per_sec_p50);
+    } else {
+      std::fprintf(f, "      \"events_per_sec_p50\": %.0f,\n",
+                   r.events_per_sec_p50);
+      std::fprintf(f, "      \"ns_per_event_p50\": %.2f,\n",
+                   r.ns_per_event_p50);
+    }
     if (r.speedup_4t > 0.0) {
       std::fprintf(f, "      \"speedup_4t\": %.3f,\n", r.speedup_4t);
       std::fprintf(f, "      \"speedup_4t_wall\": %.3f,\n", r.speedup_4t_wall);
@@ -674,12 +703,17 @@ int Main(int argc, char** argv) {
   results.push_back(RunParallelWindows(opt));
   results.push_back(RunFig14SiteParallel(opt));
 
-  std::printf("%-18s %14s %12s %12s %14s %10s\n", "suite", "events/rep",
-              "wall p50 ms", "wall p99 ms", "events/sec", "allocs/ev");
+  std::printf("%-18s %14s %12s %12s %14s %10s\n", "suite", "work/rep",
+              "wall p50 ms", "wall p99 ms", "work/sec", "allocs/ev");
   for (const SuiteResult& r : results) {
-    std::printf("%-18s %14llu %12.2f %12.2f %14.0f %10.4f\n", r.name.c_str(),
-                static_cast<unsigned long long>(r.events_per_rep),
-                r.wall_ms_p50, r.wall_ms_p99, r.events_per_sec_p50,
+    // End-to-end suites count committed transactions, the others events.
+    const bool txns = r.committed_txns_per_rep > 0;
+    const uint64_t work = txns ? r.committed_txns_per_rep : r.events_per_rep;
+    const double rate =
+        txns ? r.committed_txns_per_sec_p50 : r.events_per_sec_p50;
+    std::printf("%-18s %9llu %-6s %10.2f %12.2f %14.0f %10.4f\n",
+                r.name.c_str(), static_cast<unsigned long long>(work),
+                txns ? "txns" : "events", r.wall_ms_p50, r.wall_ms_p99, rate,
                 r.steady_allocs_per_event);
     if (r.speedup_4t > 0.0) {
       std::printf(

@@ -44,7 +44,7 @@ int main() {
   }
   for (int s = 0; s < m.num_sites(); ++s) {
     probers.push_back(std::make_unique<net::Prober>(
-        &transport, s, sim::NodeClock(0), net::Prober::Options{}));
+        &transport, s, sim::NodeClock(0), /*quantile=*/0.95));
     for (int t = 0; t < m.num_sites(); ++t) {
       probers.back()->AddTarget(t, targets[t].get());
     }

@@ -9,6 +9,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/txn_id_set.h"
 #include "net/node.h"
 #include "obs/abort_cause.h"
 #include "obs/metrics.h"
@@ -60,7 +61,7 @@ class CarouselServer : public net::Node {
   raft::PayloadIdAllocator* payload_ids_;
   store::KvStore kv_;
   store::PreparedSet prepared_;
-  std::unordered_set<TxnId> finished_;  // tombstones for late arrivals
+  TxnIdSet finished_;  // tombstones for late arrivals
 
   // Registered under carousel.server.p<N>.
   obs::Counter* occ_vote_no_ = nullptr;
@@ -98,7 +99,7 @@ class CarouselFastReplica : public net::Node {
   raft::PayloadIdAllocator* payload_ids_;
   store::KvStore kv_;
   store::PreparedSet prepared_;
-  std::unordered_set<TxnId> finished_;
+  TxnIdSet finished_;
 
   // Registered under carousel.replica.p<N>.r<M>.
   obs::Counter* fast_vote_no_ = nullptr;

@@ -969,10 +969,9 @@ NattoEngine::NattoEngine(txn::Cluster* cluster, NattoOptions options)
         this, p, topo.LeaderSite(p), cluster_->MakeClock()));
   }
   for (int s = 0; s < topo.num_sites(); ++s) {
-    net::Prober::Options po;
-    po.quantile = options_.estimate_quantile;
     proxies_.push_back(std::make_unique<net::Prober>(
-        cluster_->transport(), s, cluster_->MakeClock(), po));
+        cluster_->transport(), s, cluster_->MakeClock(),
+        options_.estimate_quantile));
     for (int p = 0; p < topo.num_partitions(); ++p) {
       proxies_.back()->AddTarget(p, servers_[p].get());
     }

@@ -5,9 +5,9 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "common/txn_id_set.h"
 #include "net/node.h"
 #include "net/prober.h"
 #include "obs/abort_cause.h"
@@ -170,7 +170,7 @@ class NattoServer : public net::Node {
   // Ordered: ResolveConditions() walks this map and the resulting message
   // order must not depend on hash layout.
   std::map<TxnId, TxnState> prepared_txns_;
-  std::unordered_set<TxnId> finished_;
+  TxnIdSet finished_;
   /// Largest prepare timestamp per key (late-arrival ordering checks).
   std::unordered_map<Key, SimTime> key_order_ts_;
 

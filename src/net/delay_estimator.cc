@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "common/logging.h"
 
@@ -18,6 +17,9 @@ DelayEstimator::DelayEstimator(SimDuration window, double quantile,
 void DelayEstimator::AddSample(SimTime now, SimDuration delay) {
   Evict(now);
   samples_.emplace_back(now, delay);
+  sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), delay),
+                 delay);
+  sum_ += delay;
   last_sample_time_ = now;
   ever_sampled_ = true;
   RefreshHeld();
@@ -28,6 +30,9 @@ void DelayEstimator::Evict(SimTime now) const {
   // at the cutoff is still inside the probe window.
   SimTime cutoff = now - window_;
   while (!samples_.empty() && samples_.front().first < cutoff) {
+    SimDuration d = samples_.front().second;
+    sorted_.erase(std::lower_bound(sorted_.begin(), sorted_.end(), d));
+    sum_ -= d;
     samples_.pop_front();
   }
 }
@@ -47,22 +52,15 @@ bool DelayEstimator::HasEstimate(SimTime now) const {
 }
 
 void DelayEstimator::RefreshHeld() const {
-  std::vector<SimDuration> values;
-  values.reserve(samples_.size());
-  long double sum = 0;
-  for (const auto& [t, d] : samples_) {
-    values.push_back(d);
-    sum += static_cast<long double>(d);
-  }
   // Index of the quantile element (nearest-rank method): ceil(q*n) - 1.
   size_t rank = static_cast<size_t>(
-      std::ceil(quantile_ * static_cast<double>(values.size())));
+      std::ceil(quantile_ * static_cast<double>(sorted_.size())));
   if (rank > 0) --rank;
-  if (rank >= values.size()) rank = values.size() - 1;
-  std::nth_element(values.begin(), values.begin() + rank, values.end());
-  held_estimate_ = values[rank];
-  held_mean_ =
-      static_cast<SimDuration>(sum / static_cast<long double>(values.size()));
+  if (rank >= sorted_.size()) rank = sorted_.size() - 1;
+  held_estimate_ = sorted_[rank];
+  held_mean_ = static_cast<SimDuration>(
+      static_cast<long double>(sum_) /
+      static_cast<long double>(sorted_.size()));
 }
 
 SimDuration DelayEstimator::Estimate(SimTime now) const {

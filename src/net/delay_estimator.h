@@ -2,8 +2,10 @@
 #define NATTO_NET_DELAY_ESTIMATOR_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <utility>
+#include <vector>
 
 #include "common/sim_time.h"
 
@@ -23,6 +25,10 @@ namespace natto::net {
 /// estimate rather than collapsing to 0, until the last sample is older
 /// than `max_age` (0 = hold forever). This keeps timestamp computation
 /// sane through a fault instead of scheduling everything "now".
+///
+/// The in-window delays are also kept sorted, with an exact integer sum, so
+/// the quantile is one indexed read and the mean one division: a probe
+/// reply never copies or re-selects the window.
 class DelayEstimator {
  public:
   explicit DelayEstimator(SimDuration window = Seconds(1),
@@ -51,7 +57,7 @@ class DelayEstimator {
 
  private:
   void Evict(SimTime now) const;
-  /// Recomputes the held quantile/mean from the current (non-empty) window.
+  /// Reads the held quantile/mean off the current (non-empty) window.
   void RefreshHeld() const;
   bool HeldValid(SimTime now) const;
 
@@ -59,7 +65,11 @@ class DelayEstimator {
   double quantile_;
   SimDuration max_age_;
   // Mutable so the const query methods can drop expired samples lazily.
+  // samples_ holds (arrival, delay) in arrival order; sorted_ holds the
+  // same delays ascending, and sum_ their exact total.
   mutable std::deque<std::pair<SimTime, SimDuration>> samples_;
+  mutable std::vector<SimDuration> sorted_;
+  mutable int64_t sum_ = 0;
   // Last-known estimates, refreshed on every sample; served (subject to
   // max_age_) once the window empties during an outage.
   mutable SimDuration held_estimate_ = 0;

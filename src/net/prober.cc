@@ -3,16 +3,27 @@
 #include "common/logging.h"
 
 namespace natto::net {
+namespace {
+
+constexpr SimDuration kProbeInterval = Millis(10);  // paper: every 10 ms
+constexpr SimDuration kWindow = Seconds(1);         // paper: last second
+constexpr size_t kProbeBytes = 64;
+/// When probe responses stop (target crashed or partitioned away) and the
+/// window drains, each estimator holds its last estimate this long before
+/// reporting "no estimate". Irrelevant while probes flow: the window then
+/// never empties.
+constexpr SimDuration kEstimateMaxAge = Seconds(10);
+
+}  // namespace
 
 Prober::Prober(Transport* transport, int site, sim::NodeClock clock,
-               Options options)
-    : Node(transport, site, clock), options_(options) {}
+               double quantile)
+    : Node(transport, site, clock), quantile_(quantile) {}
 
 void Prober::AddTarget(int key, Node* target) {
   NATTO_CHECK(target != nullptr);
   targets_[key] = target;
-  estimators_.emplace(key, DelayEstimator(options_.window, options_.quantile,
-                                          options_.estimate_max_age));
+  estimators_.emplace(key, DelayEstimator(kWindow, quantile_, kEstimateMaxAge));
 }
 
 void Prober::Start() {
@@ -33,10 +44,9 @@ void Prober::ProbeAll() {
     // does not silence it (a `slow` fault still stretches its service time
     // and therefore inflates the estimates — the gray poison the detector
     // layer exists to catch).
-    SendPing(t->id(), options_.probe_bytes, [this, t, k, send_local]() {
+    SendPing(t->id(), kProbeBytes, [this, t, k, send_local]() {
       SimTime server_local = t->LocalNow();
-      t->SendPing(this->id(), options_.probe_bytes, [this, k, send_local,
-                                                     server_local]() {
+      t->SendPing(id(), kProbeBytes, [this, k, send_local, server_local]() {
         SimDuration one_way = server_local - send_local;
         auto it = estimators_.find(k);
         if (it != estimators_.end()) {
@@ -45,7 +55,7 @@ void Prober::ProbeAll() {
       });
     });
   }
-  After(options_.probe_interval, [this]() { ProbeAll(); });
+  After(kProbeInterval, [this]() { ProbeAll(); });
 }
 
 bool Prober::HasEstimate(int key) const {

@@ -17,22 +17,15 @@ namespace natto::net {
 /// A probe carries the sender's local send time; the target answers with its
 /// own local receive time, so each sample includes relative clock skew — by
 /// design (see DelayEstimator).
+///
+/// The paper fixes the cadence: a 64-byte probe every 10 ms, estimated over
+/// the last second (prober.cc holds the constants, and the 10 s hold of a
+/// last estimate through an outage).
 class Prober : public Node {
  public:
-  struct Options {
-    SimDuration probe_interval = Millis(10);  // paper: every 10 ms
-    SimDuration window = Seconds(1);          // paper: last second
-    double quantile = 0.95;                   // paper: 95th percentile
-    size_t probe_bytes = 64;
-    /// When probe responses stop (target crashed or partitioned away) and
-    /// the window drains, the per-target estimator holds its last estimate
-    /// for this long before reporting "no estimate" (0 = hold forever).
-    /// Irrelevant while probes flow: the window then never empties.
-    SimDuration estimate_max_age = Seconds(10);
-  };
-
+  /// `quantile` is the percentile each estimate reports (paper: 0.95).
   Prober(Transport* transport, int site, sim::NodeClock clock,
-         Options options);
+         double quantile);
 
   /// Registers a probe target under integer key `key` (e.g. partition id).
   void AddTarget(int key, Node* target);
@@ -54,7 +47,7 @@ class Prober : public Node {
  private:
   void ProbeAll();
 
-  Options options_;
+  double quantile_;
   bool running_ = false;
   // Ordered: ProbeAll() walks targets_ and the probe send order must be a
   // pure function of the target set, never of hash layout.

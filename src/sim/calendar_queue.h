@@ -214,8 +214,8 @@ class CalendarQueue {
     if (b > cursor_bucket_) cursor_bucket_ = b;
   }
 
-  /// Returns a node to the free list. The node's closure must already be
-  /// moved out or reset.
+  /// Destroys the node's closure and returns the node to the free list. The
+  /// kernels call this after the closure ran in place.
   void Recycle(EventNode* n) {
     n->fn.Reset();
     n->next = free_list_;

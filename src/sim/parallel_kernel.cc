@@ -418,9 +418,8 @@ void ParallelKernel::SerializedFire(int site) {
   }
   sim_->firing_seq_ = n->seq;
   main_site_ = site;  // kInheritSite schedules stay on the firing site
-  EventFn fn = std::move(n->fn);
+  n->fn();  // in place, as in Simulator::FireOrDiscard
   q.Recycle(n);
-  fn();
   sim_->firing_seq_ = Simulator::kNoParent;
   main_site_ = Simulator::kGlobalSite;
 }
@@ -516,11 +515,10 @@ void ParallelKernel::RunSite(ParallelSiteContext& ctx) {
     ctx.queue.AdvanceTo(ctx.local_now);
     ExecRecord rec{n->time, id, n->parent_seq, handle, false, 0, first_op, 0};
     ctx.firing_id = id;
-    EventFn fn = std::move(n->fn);
-    ctx.queue.Recycle(n);
     Rng::SetThreadDrawDelta(&rec.rng_delta);
-    fn();
+    n->fn();  // in place, as in Simulator::FireOrDiscard
     Rng::SetThreadDrawDelta(nullptr);
+    ctx.queue.Recycle(n);
     ctx.firing_id = Simulator::kNoParent;
     rec.num_ops = static_cast<uint32_t>(ctx.ops.size()) - rec.first_op;
     ctx.log.push_back(rec);

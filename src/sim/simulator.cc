@@ -60,14 +60,14 @@ void Simulator::FireOrDiscard(EventNode* n) {
   if (ledger_ != nullptr) {
     ledger_->RecordEvent(n->time, n->seq, n->parent_seq);
   }
-  // The callback must be moved out before it runs: it may schedule new
-  // events, and the node's storage is recycled into the pool they draw
-  // from. firing_seq_ tags those schedules with this event as their causal
-  // parent (consumed by the dsan ledger).
+  // The callback runs in place: the popped node is neither queued nor on
+  // the free list, so the events it schedules draw other nodes, and it
+  // returns to the pool only once the callback is done. firing_seq_ tags
+  // those schedules with this event as their causal parent (consumed by
+  // the dsan ledger).
   firing_seq_ = n->seq;
-  EventFn fn = std::move(n->fn);
+  n->fn();
   queue_.Recycle(n);
-  fn();
   firing_seq_ = kNoParent;
 }
 

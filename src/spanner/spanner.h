@@ -8,6 +8,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/txn_id_set.h"
 #include "net/node.h"
 #include "obs/abort_cause.h"
 #include "obs/metrics.h"
@@ -95,7 +96,7 @@ class SpannerServer : public net::Node {
   store::KvStore kv_;
   store::LockTable locks_;
   std::unordered_map<TxnId, LocalTxn> txns_;
-  std::unordered_set<TxnId> finished_;
+  TxnIdSet finished_;
 
   // Registered under spanner.p<N>. (lock-table contention counters live
   // under spanner.p<N>.locks.).

@@ -4,9 +4,9 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "common/txn_id_set.h"
 #include "net/node.h"
 #include "obs/abort_cause.h"
 #include "obs/metrics.h"
@@ -55,7 +55,7 @@ class TapirReplica : public net::Node {
   int partition_;
   store::KvStore kv_;
   store::PreparedSet prepared_;
-  std::unordered_set<TxnId> finished_;
+  TxnIdSet finished_;
 
   // Registered under tapir.replica.p<N>.r<M>.
   obs::Counter* prepare_vote_no_ = nullptr;

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/txn_id_set.h"
 #include "common/types.h"
 #include "net/node.h"
 #include "obs/abort_cause.h"
@@ -309,7 +310,7 @@ class CoordinatorCore : public CoordinatorBase {
 
  private:
   std::unordered_map<TxnId, State> txns_;
-  std::unordered_set<TxnId> decided_;
+  TxnIdSet decided_;
 };
 
 /// One node per site, plus the node-id index message closures resolve

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "common/txn_id_set.h"
 #include "common/types.h"
 
 namespace natto {
@@ -76,6 +79,61 @@ TEST(WireBytesTest, SizesScaleWithKeys) {
   EXPECT_EQ(WireKeysBytes(3), kMessageHeaderBytes + 3 * kKeyBytes);
   EXPECT_EQ(WireKvBytes(2), kMessageHeaderBytes + 2 * (kKeyBytes + kValueBytes));
 }
+
+// ---------------------------------------------------------------------------
+// TxnIdSet
+// ---------------------------------------------------------------------------
+
+// Random inserts and lookups of ids from 64 clients, checked step by step
+// against std::unordered_set while the table doubles from 16 slots to
+// 32768. Id 0 (client 0, sequence 0) is a real transaction id.
+TEST(TxnIdSetTest, MatchesUnorderedSetThroughGrowth) {
+  Rng rng(16);
+  TxnIdSet set;
+  std::unordered_set<TxnId> ref;
+  EXPECT_FALSE(set.contains(0));
+  EXPECT_TRUE(set.insert(0));
+  EXPECT_FALSE(set.insert(0));
+  EXPECT_TRUE(set.contains(0));
+  ref.insert(0);
+  auto random_id = [&rng]() {
+    return MakeTxnId(static_cast<uint32_t>(rng.UniformInt(0, 63)),
+                     static_cast<uint32_t>(rng.UniformInt(0, 399)));
+  };
+  for (int step = 0; step < 30000; ++step) {
+    TxnId id = random_id();
+    if (rng.UniformInt(0, 2) != 0) {
+      ASSERT_EQ(set.insert(id), ref.insert(id).second) << "step " << step;
+    } else {
+      ASSERT_EQ(set.contains(id), ref.contains(id)) << "step " << step;
+    }
+  }
+  ASSERT_GT(ref.size(), 8192u);  // so the table reached 32768 slots
+  for (uint32_t client = 0; client < 65; ++client) {
+    for (uint32_t seq = 0; seq < 401; ++seq) {
+      TxnId id = MakeTxnId(client, seq);
+      ASSERT_EQ(set.contains(id), ref.contains(id)) << client << "/" << seq;
+    }
+  }
+}
+
+// Ids next to the empty sentinel are ordinary ids.
+TEST(TxnIdSetTest, HoldsIdsBesideTheSentinel) {
+  TxnIdSet set;
+  const TxnId near[] = {MakeTxnId(0xffffffffu, 0xfffffffeu),
+                        MakeTxnId(0xfffffffeu, 0xffffffffu),
+                        MakeTxnId(0x7fffffffu, 0xffffffffu)};
+  for (TxnId id : near) EXPECT_TRUE(set.insert(id));
+  for (TxnId id : near) EXPECT_TRUE(set.contains(id));
+  EXPECT_FALSE(set.contains(~TxnId{0}));
+}
+
+#ifndef NDEBUG
+TEST(TxnIdSetDeathTest, RejectsTheEmptySentinel) {
+  TxnIdSet set;
+  EXPECT_DEATH(set.insert(~TxnId{0}), "sentinel");
+}
+#endif
 
 // ---------------------------------------------------------------------------
 // Rng

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <deque>
+#include <utility>
+#include <vector>
 
+#include "common/rng.h"
 #include "net/delay_estimator.h"
 #include "net/delay_model.h"
 #include "net/latency_matrix.h"
@@ -419,6 +424,130 @@ TEST(DelayEstimatorTest, MeanEstimate) {
   EXPECT_EQ(e.MeanEstimate(Millis(1)), Millis(15));
 }
 
+/// The estimator as it was before it kept its window sorted: every query
+/// copies the window, selects the nearest-rank element with nth_element and
+/// sums in long double. DelayEstimator must answer exactly like it.
+class ReferenceEstimator {
+ public:
+  ReferenceEstimator(SimDuration window, double quantile, SimDuration max_age)
+      : window_(window), quantile_(quantile), max_age_(max_age) {}
+
+  void AddSample(SimTime now, SimDuration delay) {
+    Evict(now);
+    samples_.emplace_back(now, delay);
+    last_sample_time_ = now;
+    ever_sampled_ = true;
+    RefreshHeld();
+  }
+
+  bool HasSamples(SimTime now) {
+    Evict(now);
+    return !samples_.empty();
+  }
+
+  bool HasEstimate(SimTime now) { return HasSamples(now) || HeldValid(now); }
+
+  SimDuration Estimate(SimTime now) {
+    Evict(now);
+    if (samples_.empty()) return HeldValid(now) ? held_estimate_ : 0;
+    RefreshHeld();
+    return held_estimate_;
+  }
+
+  SimDuration MeanEstimate(SimTime now) {
+    Evict(now);
+    if (samples_.empty()) return HeldValid(now) ? held_mean_ : 0;
+    RefreshHeld();
+    return held_mean_;
+  }
+
+  size_t sample_count() const { return samples_.size(); }
+
+ private:
+  void Evict(SimTime now) {
+    SimTime cutoff = now - window_;
+    while (!samples_.empty() && samples_.front().first < cutoff) {
+      samples_.pop_front();
+    }
+  }
+
+  bool HeldValid(SimTime now) const {
+    if (!ever_sampled_) return false;
+    return max_age_ <= 0 || now - last_sample_time_ <= max_age_;
+  }
+
+  void RefreshHeld() {
+    std::vector<SimDuration> values;
+    long double sum = 0;
+    for (const auto& [t, d] : samples_) {
+      values.push_back(d);
+      sum += static_cast<long double>(d);
+    }
+    size_t rank = static_cast<size_t>(
+        std::ceil(quantile_ * static_cast<double>(values.size())));
+    if (rank > 0) --rank;
+    if (rank >= values.size()) rank = values.size() - 1;
+    std::nth_element(values.begin(), values.begin() + rank, values.end());
+    held_estimate_ = values[rank];
+    held_mean_ = static_cast<SimDuration>(
+        sum / static_cast<long double>(values.size()));
+  }
+
+  SimDuration window_;
+  double quantile_;
+  SimDuration max_age_;
+  std::deque<std::pair<SimTime, SimDuration>> samples_;
+  SimDuration held_estimate_ = 0;
+  SimDuration held_mean_ = 0;
+  SimTime last_sample_time_ = 0;
+  bool ever_sampled_ = false;
+};
+
+// Random sample streams through both estimators: runs of equal delays,
+// negative (skewed) delays, gaps longer than the window, steps whose only
+// eviction comes from HasSamples, and a hold that expires. After every step
+// all three answers must match.
+TEST(DelayEstimatorTest, MatchesCopyAndSelectReference) {
+  for (double q : {0.5, 0.95, 1.0}) {
+    for (SimDuration max_age : {SimDuration{0}, Seconds(2)}) {
+      for (uint64_t seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE(testing::Message() << "q=" << q << " max_age="
+                                        << max_age << " seed=" << seed);
+        Rng rng(seed);
+        DelayEstimator e(Seconds(1), q, max_age);
+        ReferenceEstimator ref(Seconds(1), q, max_age);
+        SimTime now = 0;
+        for (int step = 0; step < 3000; ++step) {
+          // 15% of steps keep the timestamp; 3% jump past the window (and
+          // past the 2 s hold when the jump exceeds 3 s).
+          int64_t gap = rng.UniformInt(0, 99);
+          if (gap >= 97) {
+            now += Millis(rng.UniformInt(1100, 4000));
+          } else if (gap >= 15) {
+            now += Millis(rng.UniformInt(1, 30));
+          }
+          int64_t action = rng.UniformInt(0, 9);
+          if (action < 6) {
+            // Few distinct values, so equal delays are common; a third of
+            // them negative, as when the target's clock lags the prober's.
+            SimDuration d = rng.UniformInt(0, 2) == 0
+                                ? Millis(rng.UniformInt(-8, 2))
+                                : Millis(rng.UniformInt(5, 25));
+            e.AddSample(now, d);
+            ref.AddSample(now, d);
+          } else if (action < 8) {
+            ASSERT_EQ(e.HasSamples(now), ref.HasSamples(now)) << step;
+          }
+          ASSERT_EQ(e.HasEstimate(now), ref.HasEstimate(now)) << step;
+          ASSERT_EQ(e.Estimate(now), ref.Estimate(now)) << step;
+          ASSERT_EQ(e.MeanEstimate(now), ref.MeanEstimate(now)) << step;
+          ASSERT_EQ(e.sample_count(), ref.sample_count()) << step;
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Prober
 // ---------------------------------------------------------------------------
@@ -430,7 +559,7 @@ TEST(ProberTest, ConvergesToOneWayDelayPlusSkew) {
 
   // Target at SG with +2 ms clock skew; prober at VA with no skew.
   Node target(&t, 4, sim::NodeClock(Millis(2)));
-  Prober prober(&t, 0, sim::NodeClock(0), Prober::Options{});
+  Prober prober(&t, 0, sim::NodeClock(0), /*quantile=*/0.95);
   prober.AddTarget(7, &target);
   prober.Start();
   simulator.RunUntil(Seconds(2));
@@ -447,7 +576,7 @@ TEST(ProberTest, TracksVariableDelaysAtHighPercentile) {
   Transport t(&simulator, &matrix, MakeParetoDelay(0.10), TransportOptions{},
               11);
   Node target(&t, 1, sim::NodeClock(0));
-  Prober prober(&t, 0, sim::NodeClock(0), Prober::Options{});
+  Prober prober(&t, 0, sim::NodeClock(0), /*quantile=*/0.95);
   prober.AddTarget(1, &target);
   prober.Start();
   simulator.RunUntil(Seconds(3));

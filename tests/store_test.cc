@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
+#include "common/rng.h"
 #include "store/kv_store.h"
 #include "store/lock_table.h"
 #include "store/prepared_set.h"
@@ -136,6 +141,101 @@ TEST(PreparedSetTest, RemoveUnknownIsNoop) {
   PreparedSet p;
   p.Remove(42);
   EXPECT_EQ(p.size(), 0u);
+}
+
+TEST(PreparedSetTest, RepeatedAndReadWrittenKeysLeaveNoResidue) {
+  PreparedSet p;
+  p.Add(1, {10, 10, 11}, {11, 12, 12});
+  p.Add(2, {12}, {});
+  EXPECT_EQ(p.Conflicting({11}, {}), std::vector<TxnId>({1}));
+  EXPECT_EQ(p.Conflicting({}, {12}), std::vector<TxnId>({1, 2}));
+  p.Remove(1);
+  EXPECT_FALSE(p.HasConflict({10, 11, 12}, {10, 11}));
+  EXPECT_TRUE(p.HasConflict({}, {12}));
+  p.Remove(2);
+  EXPECT_FALSE(p.HasConflict({}, {10, 11, 12}));
+}
+
+/// Brute-force model: the footprints as plain lists, every query a scan.
+struct ReferencePreparedSet {
+  struct Footprint {
+    std::vector<Key> reads;
+    std::vector<Key> writes;
+  };
+
+  static bool Has(const std::vector<Key>& keys, Key k) {
+    return std::find(keys.begin(), keys.end(), k) != keys.end();
+  }
+
+  static bool Conflicts(const Footprint& f, const std::vector<Key>& reads,
+                        const std::vector<Key>& writes) {
+    for (Key k : reads) {
+      if (Has(f.writes, k)) return true;
+    }
+    for (Key k : writes) {
+      if (Has(f.writes, k) || Has(f.reads, k)) return true;
+    }
+    return false;
+  }
+
+  std::vector<TxnId> Conflicting(const std::vector<Key>& reads,
+                                 const std::vector<Key>& writes) const {
+    std::vector<TxnId> out;
+    for (const auto& [id, f] : footprints) {
+      if (Conflicts(f, reads, writes)) out.push_back(id);
+    }
+    return out;  // the map walks ids in ascending order
+  }
+
+  std::map<TxnId, Footprint> footprints;
+};
+
+// Random Add/Remove/HasConflict/Conflicting against the brute-force model
+// over eight hot keys. Footprints repeat keys and read and write the same
+// key; removals also hit absent ids.
+TEST(PreparedSetTest, MatchesBruteForceFootprints) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+    Rng rng(seed);
+    auto keys = [&rng]() {
+      std::vector<Key> out(static_cast<size_t>(rng.UniformInt(0, 4)));
+      for (Key& k : out) k = static_cast<Key>(rng.UniformInt(0, 7));
+      return out;
+    };
+    PreparedSet p;
+    ReferencePreparedSet ref;
+    for (int step = 0; step < 4000; ++step) {
+      TxnId id = static_cast<TxnId>(rng.UniformInt(0, 15));
+      switch (rng.UniformInt(0, 3)) {
+        case 0:
+          if (!ref.footprints.contains(id)) {
+            std::vector<Key> reads = keys(), writes = keys();
+            p.Add(id, reads, writes);
+            ref.footprints[id] = {reads, writes};
+          }
+          break;
+        case 1:
+          p.Remove(id);
+          ref.footprints.erase(id);
+          break;
+        case 2: {
+          std::vector<Key> reads = keys(), writes = keys();
+          ASSERT_EQ(p.HasConflict(reads, writes),
+                    !ref.Conflicting(reads, writes).empty())
+              << step;
+          break;
+        }
+        default: {
+          std::vector<Key> reads = keys(), writes = keys();
+          ASSERT_EQ(p.Conflicting(reads, writes),
+                    ref.Conflicting(reads, writes))
+              << step;
+        }
+      }
+      ASSERT_EQ(p.size(), ref.footprints.size()) << step;
+      ASSERT_EQ(p.Contains(id), ref.footprints.contains(id)) << step;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
