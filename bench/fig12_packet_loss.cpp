@@ -30,7 +30,6 @@ int main(int argc, char** argv) {
     config.cluster.transport.packet_loss = loss / 100.0;
     // 1 Gbps local cluster links (Sec 5.1).
     config.cluster.transport.link_bandwidth_bytes_per_sec = 125e6;
-    config.cluster.transport.tcp_flows_per_link = 16;
     points.push_back({config, workload});
   }
   std::vector<std::vector<ExperimentResult>> results = RunGrid(points, systems);

@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
       // The full defense stack. Thresholds sit well above healthy-run
       // operating points (commit latency ~tens of ms, phi ~0 between
       // heartbeats) so the defenses are quiet until the faults land.
-      config.cluster.gray.enabled = true;
+      config.cluster.gray_defense = true;
       config.cluster.raft.pre_vote = true;
       config.cluster.raft.fail_away_commit_latency = Millis(300);
       config.hedge_percentile = 0.95;

@@ -587,8 +587,8 @@ SuiteResult RunFig14SiteParallel(const Options& opt) {
 
     if (stats.windows == 0) {
       std::fprintf(stderr,
-                   "fig14_site_parallel ran zero windows — the cell fell "
-                   "back to degenerate mode, the speedup claim is vacuous\n");
+                   "fig14_site_parallel ran zero windows — the cell ran "
+                   "on the serial kernel, the speedup claim is vacuous\n");
       std::exit(1);
     }
     r.windows = stats.windows;

@@ -54,7 +54,7 @@ double LatencyHistogram::mean() const {
 }
 
 double LatencyHistogram::Percentile(double q) const {
-  // Degenerate inputs produce rank 0 under the ceil-rank formula below
+  // Empty inputs and q <= 0 produce rank 0 under the ceil-rank formula below
   // (count_ == 0 makes every target 0; q <= 0 makes ceil(q*n) <= 0): both
   // answer "the value no sample is below", which is 0.0 by definition —
   // never a bucket midpoint read off uninitialized rank state.

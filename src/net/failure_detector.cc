@@ -7,16 +7,25 @@
 
 namespace natto::net {
 
-FailureDetector::FailureDetector(Options options) : options_(options) {
-  NATTO_CHECK(options_.window >= 2);
-  NATTO_CHECK(options_.initial_interval > 0);
-  NATTO_CHECK(options_.min_stddev_fraction > 0.0);
-}
+namespace {
+
+/// Inter-arrival samples kept per stream.
+constexpr size_t kWindow = 64;
+static_assert(kWindow >= 2);
+/// Prior mean interval assumed before the first two heartbeats, and blended
+/// in while the window is still short.
+constexpr SimDuration kInitialInterval = Millis(50);
+/// Floor on σ as a fraction of μ: perfectly regular arrivals (constant
+/// delay models) would otherwise make φ a step function and any jitter a
+/// false positive.
+constexpr double kMinStddevFraction = 0.10;
+
+}  // namespace
 
 int FailureDetector::AddStream(const std::string& name) {
   Stream s;
   s.name = name;
-  s.intervals.assign(options_.window, 0);
+  s.intervals.assign(kWindow, 0);
   if (registry_ != nullptr) {
     s.gauge = registry_->GetGauge("fd.phi." + name);
   }
@@ -35,8 +44,8 @@ void FailureDetector::Heartbeat(int stream, SimTime now) {
   }
   if (now <= s.last_arrival) return;
   s.intervals[s.next] = now - s.last_arrival;
-  s.next = (s.next + 1) % options_.window;
-  s.count = std::min(s.count + 1, options_.window);
+  s.next = (s.next + 1) % kWindow;
+  s.count = std::min(s.count + 1, kWindow);
   s.last_arrival = now;
   if (s.gauge != nullptr) s.gauge->Set(0.0);
 }
@@ -46,16 +55,16 @@ double FailureDetector::Phi(int stream, SimTime now) {
   Stream& s = streams_[static_cast<size_t>(stream)];
   if (!s.started || now <= s.last_arrival) return 0.0;
 
-  // Windowed mean/variance, blended with the configured prior while the
-  // window is short so a stream doesn't hair-trigger off its first couple
-  // of intervals.
-  const double prior = static_cast<double>(options_.initial_interval);
+  // Windowed mean/variance, blended with the prior while the window is
+  // short so a stream doesn't hair-trigger off its first couple of
+  // intervals.
+  const double prior = static_cast<double>(kInitialInterval);
   double sum = 0.0;
   for (size_t i = 0; i < s.count; ++i) {
     sum += static_cast<double>(s.intervals[i]);
   }
-  const size_t prior_weight = s.count < options_.window
-                                  ? std::max<size_t>(1, options_.window / 8)
+  const size_t prior_weight = s.count < kWindow
+                                  ? std::max<size_t>(1, kWindow / 8)
                                   : 0;
   const double n = static_cast<double>(s.count + prior_weight);
   const double mean = (sum + prior * static_cast<double>(prior_weight)) / n;
@@ -67,7 +76,7 @@ double FailureDetector::Phi(int stream, SimTime now) {
   const double dp = prior - mean;
   var = (var + dp * dp * static_cast<double>(prior_weight)) / n;
   double sigma = std::sqrt(var);
-  sigma = std::max(sigma, options_.min_stddev_fraction * mean);
+  sigma = std::max(sigma, kMinStddevFraction * mean);
 
   const double elapsed = static_cast<double>(now - s.last_arrival);
   const double z = (elapsed - mean) / sigma;

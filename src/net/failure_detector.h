@@ -34,19 +34,7 @@ namespace natto::net {
 /// gauge when a registry is attached.
 class FailureDetector {
  public:
-  struct Options {
-    /// Inter-arrival samples kept per stream.
-    size_t window = 64;
-    /// Prior mean interval assumed before the first two heartbeats, and
-    /// blended in while the window is still short.
-    SimDuration initial_interval = Millis(50);
-    /// Floor on σ as a fraction of μ: perfectly regular arrivals (constant
-    /// delay models) would otherwise make φ a step function and any jitter
-    /// a false positive.
-    double min_stddev_fraction = 0.10;
-  };
-
-  explicit FailureDetector(Options options);
+  FailureDetector() = default;
 
   FailureDetector(const FailureDetector&) = delete;
   FailureDetector& operator=(const FailureDetector&) = delete;
@@ -78,15 +66,14 @@ class FailureDetector {
  private:
   struct Stream {
     std::string name;
-    std::vector<SimDuration> intervals;  // ring buffer, `window` capacity
+    std::vector<SimDuration> intervals;  // ring buffer, kWindow capacity
     size_t next = 0;                     // ring write cursor
-    size_t count = 0;                    // min(total samples, window)
+    size_t count = 0;                    // min(total samples, kWindow)
     SimTime last_arrival = 0;
     bool started = false;
     obs::Gauge* gauge = nullptr;  // null until RegisterMetrics
   };
 
-  Options options_;
   std::vector<Stream> streams_;
   obs::MetricsRegistry* registry_ = nullptr;
 };

@@ -8,6 +8,31 @@
 
 namespace natto::net {
 
+namespace {
+
+/// Base retransmission timeout (Linux TCP minimum RTO is 200 ms).
+constexpr SimDuration kRetransmitTimeout = Millis(200);
+/// Parallel TCP flows aggregated per link for the Mathis model.
+constexpr int kTcpFlowsPerLink = 16;
+/// TCP maximum segment size used by the Mathis model.
+constexpr double kTcpMssBytes = 1460.0;
+/// Framing overhead charged per batched message (length prefix + routing
+/// header inside the shared frame), so `bytes_sent` reflects framed wire
+/// bytes. The unbatched path charges exactly the caller's payload bytes.
+constexpr size_t kFramingBytesPerMessage = 8;
+/// Per-message service cost a `slow` gray fault multiplies when the CPU
+/// cost model is off, so `slow factor=K` bites even in delay-only
+/// topologies.
+constexpr SimDuration kSlowDefaultServiceCost = Micros(100);
+
+}  // namespace
+
+bool StatelessWire(const TransportOptions& options, const DelayModel& delay) {
+  return options.max_batch_bytes == 0 && options.packet_loss == 0.0 &&
+         options.link_bandwidth_bytes_per_sec == 0.0 &&
+         delay.min_scale_factor() == 1.0;
+}
+
 Transport::Transport(sim::Simulator* simulator, const LatencyMatrix* matrix,
                      std::unique_ptr<DelayModel> delay_model,
                      TransportOptions options, uint64_t seed)
@@ -19,6 +44,10 @@ Transport::Transport(sim::Simulator* simulator, const LatencyMatrix* matrix,
   NATTO_CHECK(simulator_ != nullptr);
   NATTO_CHECK(matrix_ != nullptr);
   if (delay_model_ == nullptr) delay_model_ = MakeConstantDelay();
+  // Bernoulli(p >= 1) always fires, so the retransmission loop would never
+  // end; a negative p would silently mean no loss.
+  NATTO_CHECK(options_.packet_loss >= 0.0 && options_.packet_loss < 1.0)
+      << "packet_loss must be in [0, 1), got " << options_.packet_loss;
   int n = matrix_->num_sites();
   link_free_at_.assign(static_cast<size_t>(n) * n, 0);
   // Lane 0 serves the serial kernel and the main thread; lanes 1..n serve
@@ -33,17 +62,13 @@ Transport::Transport(sim::Simulator* simulator, const LatencyMatrix* matrix,
   if (simulator_->site_parallel()) {
     // Under the site-parallel kernel Send/Deliver run concurrently on
     // worker lanes; every stateful wire model touched at send time (batch
-    // FIFOs, link serialization clocks, the loss/jitter RNG —
-    // min_scale_factor() == 1 iff the model never draws) would race or
+    // FIFOs, link serialization clocks, the loss/jitter RNG) would race or
     // diverge from serial order. The node CPU-cost model is the exception:
     // in deferred mode its state is per receiver and touched only at
     // delivery on the receiver's own lane, so it is site-confined.
-    bool node_cpu_ok = options_.deferred_node_service ||
-                       (options_.node_cost_per_message == 0 &&
-                        options_.node_cost_per_kib == 0);
-    NATTO_CHECK(!batching_enabled() && options_.packet_loss == 0.0 &&
-                options_.link_bandwidth_bytes_per_sec == 0.0 && node_cpu_ok &&
-                delay_model_->min_scale_factor() == 1.0)
+    NATTO_CHECK(StatelessWire(options_, *delay_model_) &&
+                (options_.deferred_node_service ||
+                 options_.node_cost_per_message == 0))
         << "site-parallel simulation requires the stateless transport fast "
            "path (no batching, loss, capacity, or random delays; CPU cost "
            "only with deferred_node_service)";
@@ -153,21 +178,14 @@ SimTime Transport::NodeStallUntil(NodeId node) const {
   return until > simulator_->Now() ? until : 0;
 }
 
-SimTime Transport::ServiceDone(NodeId to, size_t bytes, SimTime arrival,
-                               SimTime now) {
-  bool queue = options_.node_cost_per_message > 0 ||
-               options_.node_cost_per_kib > 0;
-  SimDuration cost =
-      queue ? options_.node_cost_per_message +
-                  options_.node_cost_per_kib *
-                      static_cast<SimDuration>(bytes) / 1024
-            : 0;
+SimTime Transport::ServiceDone(NodeId to, SimTime arrival, SimTime now) {
+  bool queue = options_.node_cost_per_message > 0;
+  SimDuration cost = queue ? options_.node_cost_per_message : 0;
   if (!node_degrade_.empty() &&
       static_cast<size_t>(to) < node_degrade_.size()) {
     const NodeDegrade& d = node_degrade_[to];
     if (d.slow_until > now) {
-      SimDuration base =
-          cost > 0 ? cost : options_.slow_default_service_cost;
+      SimDuration base = cost > 0 ? cost : kSlowDefaultServiceCost;
       cost = static_cast<SimDuration>(static_cast<double>(base) *
                                       d.slow_factor);
       queue = true;
@@ -216,29 +234,80 @@ SimTime& Transport::LinkFreeAt(int from_site, int to_site) {
                        to_site];
 }
 
-double Transport::EffectiveLinkRate(int from_site, int to_site) const {
+double Transport::EffectiveLinkRate(int from_site, int to_site,
+                                    const LinkOverlay* overlay) const {
   double rate = options_.link_bandwidth_bytes_per_sec;
   if (rate <= 0.0) return 0.0;  // capacity model disabled
   double loss = options_.packet_loss;
-  if (!link_overlays_.empty()) {
+  if (overlay != nullptr) {
     // An active degradation overlay's extra loss compounds with the
     // baseline loss probability and collapses this link's Mathis capacity
-    // for the overlay's duration (expired overlays are ignored here and
-    // pruned by the next Send).
-    auto it = link_overlays_.find({from_site, to_site});
-    if (it != link_overlays_.end() && it->second.until > simulator_->Now()) {
-      loss = 1.0 - (1.0 - loss) * (1.0 - it->second.extra_loss);
-    }
+    // for the overlay's duration.
+    loss = 1.0 - (1.0 - loss) * (1.0 - overlay->extra_loss);
   }
   if (loss > 0.0) {
     // Mathis et al.: per-flow TCP throughput ~= MSS / (RTT * sqrt(p)).
     double rtt_sec = ToSeconds(matrix_->Rtt(from_site, to_site));
     rtt_sec = std::max(rtt_sec, 1e-4);
-    double per_flow = options_.tcp_mss_bytes / (rtt_sec * std::sqrt(loss));
-    double aggregate = per_flow * options_.tcp_flows_per_link;
+    double per_flow = kTcpMssBytes / (rtt_sec * std::sqrt(loss));
+    double aggregate = per_flow * kTcpFlowsPerLink;
     rate = std::min(rate, aggregate);
   }
   return rate;
+}
+
+const Transport::LinkOverlay* Transport::ActiveOverlay(int from_site,
+                                                       int to_site) {
+  if (link_overlays_.empty()) return nullptr;
+  auto it = link_overlays_.find({from_site, to_site});
+  if (it == link_overlays_.end()) return nullptr;
+  if (it->second.until <= simulator_->Now()) {
+    link_overlays_.erase(it);
+    return nullptr;
+  }
+  return &it->second;
+}
+
+SimTime Transport::WireFrame(int from_site, int to_site, size_t frame_bytes,
+                             const LinkOverlay* overlay, SimTime now,
+                             Traffic& c) {
+  // Link serialization under the capacity model.
+  SimTime depart = now;
+  double rate = EffectiveLinkRate(from_site, to_site, overlay);
+  if (rate > 0.0) {
+    SimTime& free_at = LinkFreeAt(from_site, to_site);
+    SimTime start = std::max(now, free_at);
+    auto tx = static_cast<SimDuration>(static_cast<double>(frame_bytes) /
+                                       rate * 1e6);  // seconds -> micros
+    free_at = start + tx;
+    depart = free_at;
+  }
+
+  // Propagation delay with the configured distribution.
+  SimDuration delay =
+      delay_model_->Sample(matrix_->OneWay(from_site, to_site), rng_);
+  if (overlay != nullptr) delay += overlay->extra_delay;
+
+  // Loss: the first lost transmission is usually recovered by TCP fast
+  // retransmit on the busy persistent connection (~1 RTT); repeated losses
+  // of the same segment fall back to the retransmission timeout with
+  // exponential backoff.
+  if (options_.packet_loss > 0.0) {
+    SimDuration rtt = matrix_->Rtt(from_site, to_site);
+    bool first = true;
+    SimDuration rto = kRetransmitTimeout;
+    while (rng_.Bernoulli(options_.packet_loss)) {
+      ++c.lost;
+      if (first) {
+        delay += std::max<SimDuration>(rtt, Millis(1));
+        first = false;
+      } else {
+        delay += rto;
+        rto = std::min<SimDuration>(rto * 2, Seconds(8));
+      }
+    }
+  }
+  return depart + delay;
 }
 
 Transport::Envelope* Transport::AllocEnvelope(size_t lane) {
@@ -282,7 +351,7 @@ void Transport::Deliver(Envelope* env) {
   if (options_.deferred_node_service && !env->serviced) {
     env->serviced = true;
     SimTime now = simulator_->Now();
-    SimTime done = ServiceDone(env->to, env->bytes, now, now);
+    SimTime done = ServiceDone(env->to, now, now);
     if (done > now) {
       ScheduleWireDelivery(done, env);
       return;
@@ -391,54 +460,11 @@ void Transport::FlushLink(int from_site, int to_site) {
     msgs_per_batch_metric_->Record(static_cast<double>(count));
   }
 
-  SimTime now = simulator_->Now();
-
   // The batch is one wire frame: one serialization slot for the summed
   // framed bytes, one propagation sample, one loss/retransmission process.
-  SimTime depart = now;
-  double rate = EffectiveLinkRate(from_site, to_site);
-  if (rate > 0.0) {
-    SimTime& free_at = LinkFreeAt(from_site, to_site);
-    SimTime start = std::max(now, free_at);
-    auto tx = static_cast<SimDuration>(static_cast<double>(total_bytes) /
-                                       rate * 1e6);  // seconds -> micros
-    free_at = start + tx;
-    depart = free_at;
-  }
-
-  SimDuration overlay_delay = 0;
-  if (!link_overlays_.empty()) {
-    auto it = link_overlays_.find({from_site, to_site});
-    if (it != link_overlays_.end()) {
-      if (it->second.until <= now) {
-        link_overlays_.erase(it);
-      } else {
-        overlay_delay = it->second.extra_delay;
-      }
-    }
-  }
-
-  SimDuration delay =
-      delay_model_->Sample(matrix_->OneWay(from_site, to_site), rng_) +
-      overlay_delay;
-
-  if (options_.packet_loss > 0.0) {
-    SimDuration rtt = matrix_->Rtt(from_site, to_site);
-    bool first = true;
-    SimDuration rto = options_.retransmit_timeout;
-    while (rng_.Bernoulli(options_.packet_loss)) {
-      ++c.lost;
-      if (first) {
-        delay += std::max<SimDuration>(rtt, Millis(1));
-        first = false;
-      } else {
-        delay += rto;
-        rto = std::min<SimDuration>(rto * 2, Seconds(8));
-      }
-    }
-  }
-
-  SimTime arrival = depart + delay;
+  SimTime now = simulator_->Now();
+  SimTime arrival = WireFrame(from_site, to_site, total_bytes,
+                              ActiveOverlay(from_site, to_site), now, c);
 
   // Unpack in FIFO order: destination CPU queueing stays per message (the
   // receiver still parses every message in the frame), and equal-time
@@ -450,7 +476,7 @@ void Transport::FlushLink(int from_site, int to_site) {
     env->next = nullptr;
     SimTime done = options_.deferred_node_service
                        ? arrival
-                       : ServiceDone(env->to, env->bytes, arrival, now);
+                       : ServiceDone(env->to, arrival, now);
     ScheduleWireDelivery(done, env);
     env = next;
   }
@@ -519,41 +545,30 @@ void Transport::Send(NodeId from, NodeId to, size_t bytes,
 
   // Transient degradation overlay on this directed link. The loss draw is
   // per message at send time (batched or not, so drop attribution and the
-  // RNG stream stay per-message); the extra delay applies here on the
-  // unbatched path and at flush time for a batch.
-  SimDuration overlay_delay = 0;
-  if (!link_overlays_.empty()) {
-    auto it = link_overlays_.find({sa, sb});
-    if (it != link_overlays_.end()) {
-      if (it->second.until <= now) {
-        link_overlays_.erase(it);
-      } else {
-        if (it->second.extra_loss > 0.0 &&
-            rng_.Bernoulli(it->second.extra_loss)) {
-          CountDrop(c, &Traffic::loss);
-          return;
-        }
-        overlay_delay = it->second.extra_delay;
-      }
-    }
+  // RNG stream stay per-message); the extra delay rides the wire frame,
+  // below or at flush time for a batch.
+  const LinkOverlay* overlay = ActiveOverlay(sa, sb);
+  if (overlay != nullptr && overlay->extra_loss > 0.0 &&
+      rng_.Bernoulli(overlay->extra_loss)) {
+    CountDrop(c, &Traffic::loss);
+    return;
   }
 
   ++c.sent;
   ++c.in_flight;
+  Envelope* env = AllocEnvelope(lane);
+  env->from_site = sa;
+  env->to_site = sb;
+  env->to = to;
+  env->ping = cls == MessageClass::kPing;
+  env->serviced = false;
+  env->deliver = std::move(deliver);
   if (batching_enabled()) {
     // Batching stage: the message joins the open batch for its directed
     // site pair and is charged framed wire bytes; the wire-cost model runs
     // once per batch at flush time.
-    size_t framed = bytes + options_.framing_bytes_per_message;
+    size_t framed = bytes + kFramingBytesPerMessage;
     c.bytes += framed;
-    Envelope* env = AllocEnvelope(lane);
-    env->from_site = sa;
-    env->to_site = sb;
-    env->to = to;
-    env->bytes = bytes;
-    env->ping = cls == MessageClass::kPing;
-    env->serviced = false;
-    env->deliver = std::move(deliver);
     EnqueueBatched(sa, sb, env, framed);
     return;
   }
@@ -561,59 +576,13 @@ void Transport::Send(NodeId from, NodeId to, size_t bytes,
   // Unbatched: every message is its own wire frame (the msgs_per_batch
   // histogram stays empty — it only describes real coalescing).
   ++c.batches;
-
-  // Link serialization under the capacity model.
-  SimTime depart = now;
-  double rate = EffectiveLinkRate(sa, sb);
-  if (rate > 0.0) {
-    SimTime& free_at = LinkFreeAt(sa, sb);
-    SimTime start = std::max(now, free_at);
-    auto tx = static_cast<SimDuration>(static_cast<double>(bytes) / rate *
-                                       1e6);  // seconds -> micros
-    free_at = start + tx;
-    depart = free_at;
-  }
-
-  // Propagation delay with the configured distribution.
-  SimDuration delay =
-      delay_model_->Sample(matrix_->OneWay(sa, sb), rng_) + overlay_delay;
-
-  // Loss: the first lost transmission is usually recovered by TCP fast
-  // retransmit on the busy persistent connection (~1 RTT); repeated losses
-  // of the same segment fall back to the retransmission timeout with
-  // exponential backoff.
-  if (options_.packet_loss > 0.0) {
-    SimDuration rtt = matrix_->Rtt(sa, sb);
-    bool first = true;
-    SimDuration rto = options_.retransmit_timeout;
-    while (rng_.Bernoulli(options_.packet_loss)) {
-      ++c.lost;
-      if (first) {
-        delay += std::max<SimDuration>(rtt, Millis(1));
-        first = false;
-      } else {
-        delay += rto;
-        rto = std::min<SimDuration>(rto * 2, Seconds(8));
-      }
-    }
-  }
-
-  SimTime arrival = depart + delay;
+  SimTime arrival = WireFrame(sa, sb, bytes, overlay, now, c);
 
   // Destination CPU queueing (plus fail-slow stretch when active); in
   // deferred mode it is applied by Deliver() on the receiver's lane.
   SimTime done = options_.deferred_node_service
                      ? arrival
-                     : ServiceDone(to, bytes, arrival, now);
-
-  Envelope* env = AllocEnvelope(lane);
-  env->from_site = sa;
-  env->to_site = sb;
-  env->to = to;
-  env->bytes = bytes;
-  env->ping = cls == MessageClass::kPing;
-  env->serviced = false;
-  env->deliver = std::move(deliver);
+                     : ServiceDone(to, arrival, now);
   ScheduleWireDelivery(done, env);
 }
 

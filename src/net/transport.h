@@ -22,12 +22,10 @@ using NodeId = int;
 
 /// Knobs for the simulated network and server capacity.
 struct TransportOptions {
-  /// Probability that a message's first transmission is lost; each loss adds
-  /// a TCP-like retransmission timeout (doubling on consecutive losses).
+  /// Probability in [0, 1) that a message's first transmission is lost;
+  /// each loss adds a TCP-like retransmission timeout (doubling on
+  /// consecutive losses).
   double packet_loss = 0.0;
-
-  /// Base retransmission timeout (Linux TCP minimum RTO is 200 ms).
-  SimDuration retransmit_timeout = Millis(200);
 
   /// Per-directed-link capacity in bytes/second; 0 disables the capacity
   /// model. Under packet loss the effective capacity additionally collapses
@@ -37,20 +35,11 @@ struct TransportOptions {
   /// probability for the duration of the overlay.
   double link_bandwidth_bytes_per_sec = 0.0;
 
-  /// Number of parallel TCP flows aggregated per link for the Mathis model.
-  int tcp_flows_per_link = 16;
-
-  /// TCP maximum segment size used by the Mathis model.
-  double tcp_mss_bytes = 1460.0;
-
   /// CPU cost a node pays to process one received message; 0 disables the
   /// server-capacity model. Nodes are FIFO servers: messages queue when the
   /// node is busy. This is what bounds peak throughput in Fig 14 and makes
   /// Carousel's leaders the bottleneck at high retry rates.
   SimDuration node_cost_per_message = 0;
-
-  /// Additional CPU cost per KiB of message payload.
-  SimDuration node_cost_per_kib = 0;
 
   /// Applies the destination CPU cost model at wire-arrival time on the
   /// receiver's side instead of at send time. Semantically the FIFO service
@@ -77,20 +66,14 @@ struct TransportOptions {
   /// Upper bound on how long a message may wait in an open batch before the
   /// batch is flushed (the latency the batching amortization may cost).
   SimDuration max_batch_delay = Millis(1);
-
-  /// Framing overhead charged per batched message (length prefix + routing
-  /// header inside the shared frame), so `bytes_sent` reflects framed wire
-  /// bytes. Only applied when batching is on; the unbatched path charges
-  /// exactly the caller-provided payload bytes, as before.
-  size_t framing_bytes_per_message = 8;
-
-  /// Base per-message service cost assumed for a node under a `slow` gray
-  /// fault when the CPU cost model is otherwise disabled (both node_cost_*
-  /// knobs zero). The fail-slow stretch multiplies the node's real
-  /// per-message cost when one is configured, and this stand-in otherwise,
-  /// so `slow factor=K` bites even in delay-only topologies.
-  SimDuration slow_default_service_cost = Micros(100);
 };
+
+/// Whether a wire configured by `options` and `delay` keeps no state that a
+/// send touches: no batching, loss or bandwidth cap, and a delay model that
+/// never draws (min_scale_factor() == 1). The site-parallel kernel needs
+/// it; txn::Cluster::SiteParallelEligible asks it, and the Transport
+/// constructor checks it under that kernel.
+bool StatelessWire(const TransportOptions& options, const DelayModel& delay);
 
 /// Wire-level class of a message. `kPing` models kernel-level liveness
 /// traffic (the prober's echo probes): a node under a `stall` gray fault
@@ -165,10 +148,10 @@ class Transport {
 
   /// Fail-slow fault: until sim time `until`, every message serviced by
   /// `node` costs `factor` times its normal per-message CPU cost (or
-  /// `factor` times options.slow_default_service_cost when the CPU model is
-  /// off), queueing FIFO behind the node's backlog. Models a degraded host
-  /// (thermal throttling, dying disk, noisy neighbor) that is up but
-  /// drastically slower. Expires lazily; the backlog then drains in order.
+  /// `factor` times a 100 µs stand-in when the CPU model is off), queueing
+  /// FIFO behind the node's backlog. Models a degraded host (thermal
+  /// throttling, dying disk, noisy neighbor) that is up but drastically
+  /// slower. Expires lazily; the backlog then drains in order.
   void SetNodeSlow(NodeId node, double factor, SimTime until);
 
   /// Gray stall: until sim time `until`, `node` neither processes inbound
@@ -273,7 +256,6 @@ class Transport {
     int from_site = 0;
     int to_site = 0;
     NodeId to = 0;
-    size_t bytes = 0;
     bool ping = false;
     /// Deferred-service mode: destination CPU queueing already applied (the
     /// envelope is on its second, post-service delivery hop).
@@ -295,6 +277,12 @@ class Transport {
     sim::Simulator::EventId timer_id = 0;
   };
 
+  struct LinkOverlay {
+    double extra_loss = 0.0;
+    SimDuration extra_delay = 0;
+    SimTime until = 0;
+  };
+
   Envelope* AllocEnvelope(size_t lane);
   /// Runs the delivery-time fault re-checks, recycles `env`, and invokes
   /// the closure (unless the message was eaten by a crash/partition).
@@ -303,10 +291,19 @@ class Transport {
   /// Appends a sent message to the (sa, sb) batch, arming the delay timer
   /// for a fresh batch and flushing on the byte trigger.
   void EnqueueBatched(int sa, int sb, Envelope* env, size_t framed_bytes);
-  /// Emits the (sa, sb) batch as one wire frame: one serialization slot,
-  /// one propagation sample, one loss process; then schedules each member's
-  /// delivery (destination CPU queueing stays per message).
+  /// Emits the (sa, sb) batch as one WireFrame, then schedules each
+  /// member's delivery (destination CPU queueing stays per message).
   void FlushLink(int from_site, int to_site);
+  /// Sends one wire frame of `frame_bytes` on the directed link at `now`
+  /// (the caller's Now()): one serialization slot under the capacity model,
+  /// one propagation sample plus the overlay's extra delay, one
+  /// loss/retransmission process (counted into `c`). `overlay` is the
+  /// link's ActiveOverlay. Returns the frame's arrival time.
+  SimTime WireFrame(int from_site, int to_site, size_t frame_bytes,
+                    const LinkOverlay* overlay, SimTime now, Traffic& c);
+  /// The unexpired overlay on the directed link, or null; prunes an expired
+  /// one.
+  const LinkOverlay* ActiveOverlay(int from_site, int to_site);
   /// Flushes every open batch whose destination is `site`.
   void FlushBatchesTo(int site);
   /// The single sanctioned kernel hand-off for wire deliveries; everything
@@ -329,9 +326,12 @@ class Transport {
   /// active, and residual-backlog FIFO draining after a slow window ends.
   /// Byte-identical to the legacy inline cost block when no node is
   /// degraded.
-  SimTime ServiceDone(NodeId to, size_t bytes, SimTime arrival, SimTime now);
+  SimTime ServiceDone(NodeId to, SimTime arrival, SimTime now);
 
-  double EffectiveLinkRate(int from_site, int to_site) const;
+  /// Link capacity in bytes/second under the Mathis model, with `overlay`'s
+  /// extra loss folded in; 0 when the capacity model is off.
+  double EffectiveLinkRate(int from_site, int to_site,
+                           const LinkOverlay* overlay) const;
 
   sim::Simulator* simulator_;
   const LatencyMatrix* matrix_;
@@ -362,11 +362,6 @@ class Transport {
   };
   std::vector<NodeDegrade> node_degrade_;
 
-  struct LinkOverlay {
-    double extra_loss = 0.0;
-    SimDuration extra_delay = 0;
-    SimTime until = 0;
-  };
   /// Directed (from_site, to_site) -> transient overlay; empty in no-fault
   /// runs. Ordered map: iteration order must not depend on hash layout.
   std::map<std::pair<int, int>, LinkOverlay> link_overlays_;

@@ -11,7 +11,7 @@ namespace natto::raft {
 RaftGroup::RaftGroup(net::Transport* transport, const std::vector<int>& sites,
                      RaftReplica::Options options, Rng& seed_rng,
                      SimDuration max_clock_skew)
-    : transport_(transport), options_(options) {
+    : transport_(transport) {
   NATTO_CHECK(!sites.empty());
   for (int site : sites) {
     auto clock = sim::NodeClock::WithRandomSkew(seed_rng, max_clock_skew);
@@ -154,7 +154,7 @@ void RaftGroup::ProposeAttempt(PayloadId payload,
         // slow commit is harmless, and each attempt's completion token
         // guarantees the callback fires at most once overall.
         transport_->simulator()->ScheduleAfter(
-            4 * options_.heartbeat_interval,
+            4 * RaftReplica::kHeartbeatInterval,
             [this, payload, cb, attempts_left]() {
               ProposeAttempt(payload, cb, attempts_left - 1);
             });

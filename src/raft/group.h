@@ -78,7 +78,6 @@ class RaftGroup {
   static constexpr int kMaxCommitRetries = 200;
 
   net::Transport* transport_;
-  RaftReplica::Options options_;
   std::vector<std::unique_ptr<RaftReplica>> replicas_;
   int current_idx_ = 0;
   uint64_t current_term_ = 1;

@@ -7,6 +7,21 @@
 
 namespace natto::raft {
 
+namespace {
+
+/// Election timeouts are drawn uniformly from [min, max].
+constexpr SimDuration kElectionTimeoutMin = Millis(300);
+constexpr SimDuration kElectionTimeoutMax = Millis(600);
+/// Wire bytes charged per replicated log entry.
+constexpr size_t kEntryBytes = 128;
+/// Fixed wire bytes per AppendEntries/vote message.
+constexpr size_t kHeaderBytes = 64;
+/// Suspicion threshold: φ = 8 is ~1e-8 odds the heartbeat is merely late,
+/// the classic accrual-detector operating point.
+constexpr double kPhiSuspect = 8.0;
+
+}  // namespace
+
 RaftReplica::RaftReplica(net::Transport* transport, int site,
                          sim::NodeClock clock, Options options, Rng rng)
     : net::Node(transport, site, clock),
@@ -105,20 +120,18 @@ void RaftReplica::RegisterMetrics(obs::MetricsRegistry* registry) {
   leader_transfers_metric_ = registry->GetCounter("raft.leader_transfers");
 }
 
-void RaftReplica::EnableSuspicion(net::FailureDetector* fd, int stream,
-                                  double phi_suspect) {
+void RaftReplica::EnableSuspicion(net::FailureDetector* fd, int stream) {
   NATTO_CHECK(fd != nullptr);
   NATTO_CHECK(fd_ == nullptr) << "EnableSuspicion is one-shot";
   fd_ = fd;
   fd_stream_ = stream;
-  phi_suspect_ = phi_suspect;
-  After(options_.heartbeat_interval, [this]() { SuspicionTick(); });
+  After(kHeartbeatInterval, [this]() { SuspicionTick(); });
 }
 
 void RaftReplica::SuspicionTick() {
   // The tick outlives role changes (a deposed leader becomes a suspecting
   // follower again), so reschedule unconditionally first.
-  After(options_.heartbeat_interval, [this]() { SuspicionTick(); });
+  After(kHeartbeatInterval, [this]() { SuspicionTick(); });
   if (crashed_ || !timers_started_ || role_ != Role::kFollower) return;
   if (leader_hint_ == -1) return;  // no leader to suspect; timers handle it
   if (TrueNow() < suspicion_cooldown_until_) return;
@@ -126,11 +139,11 @@ void RaftReplica::SuspicionTick() {
   // very first post-election heartbeat gap a false positive.
   if (fd_->samples(fd_stream_) < 4) return;
   double phi = fd_->Phi(fd_stream_, TrueNow());
-  if (phi < phi_suspect_) return;
+  if (phi < kPhiSuspect) return;
   // The leader's heartbeats have gone improbably quiet (stall, crash, or a
   // severed inbound path). Election timers would catch this too — in
   // 300-600 ms; φ crosses the threshold in a few heartbeat intervals.
-  suspicion_cooldown_until_ = TrueNow() + 2 * options_.election_timeout_max;
+  suspicion_cooldown_until_ = TrueNow() + 2 * kElectionTimeoutMax;
   StartElection();
 }
 
@@ -154,8 +167,8 @@ void RaftReplica::BecomeFollower(uint64_t term) {
 void RaftReplica::ResetElectionTimer() {
   if (!timers_started_) return;
   uint64_t epoch = ++election_epoch_;
-  SimDuration timeout = rng_.UniformInt(options_.election_timeout_min,
-                                        options_.election_timeout_max);
+  SimDuration timeout = rng_.UniformInt(kElectionTimeoutMin,
+                                        kElectionTimeoutMax);
   After(timeout, [this, epoch]() {
     if (epoch != election_epoch_) return;  // superseded
     if (crashed_) return;
@@ -185,7 +198,7 @@ void RaftReplica::StartPreVote() {
   for (size_t i = 0; i < peers_.size(); ++i) {
     if (i == self_index_) continue;
     RaftReplica* peer = peers_[i];
-    SendTo(peer->id(), options_.header_bytes,
+    SendTo(peer->id(), kHeaderBytes,
            [peer, solicit_term, last_index, last_term, self = self_index_,
             round]() {
              peer->HandlePreVote(solicit_term, last_index, last_term, self,
@@ -212,12 +225,12 @@ void RaftReplica::HandlePreVote(uint64_t term, uint64_t last_log_index,
     bool leader_live =
         role_ == Role::kLeader ||
         (leader_hint_ != -1 &&
-         TrueNow() - last_heartbeat_seen_ < options_.election_timeout_min);
+         TrueNow() - last_heartbeat_seen_ < kElectionTimeoutMin);
     granted = up_to_date && !leader_live;
   }
   // No local state changes: a pre-vote is a question, not a vote.
   RaftReplica* candidate = peers_[from_index];
-  SendTo(candidate->id(), options_.header_bytes,
+  SendTo(candidate->id(), kHeaderBytes,
          [candidate, term, granted, round]() {
            candidate->HandlePreVoteResponse(term, granted, round);
          });
@@ -249,7 +262,7 @@ bool RaftReplica::TransferLeadership() {
   if (crashed_ || role_ != Role::kLeader || peers_.size() == 1) return false;
   // Best-caught-up follower with a fresh ack; it must hold every committed
   // entry so the handoff cannot lose acknowledged writes.
-  SimDuration stale_after = 2 * options_.election_timeout_max;
+  SimDuration stale_after = 2 * kElectionTimeoutMax;
   size_t best = self_index_;
   uint64_t best_match = 0;
   for (size_t i = 0; i < peers_.size(); ++i) {
@@ -266,7 +279,7 @@ bool RaftReplica::TransferLeadership() {
   if (leader_transfers_metric_) leader_transfers_metric_->Inc();
   RaftReplica* target = peers_[best];
   uint64_t term = term_;
-  SendTo(target->id(), options_.header_bytes,
+  SendTo(target->id(), kHeaderBytes,
          [target, term]() { target->HandleTimeoutNow(term); });
   return true;
 }
@@ -283,7 +296,7 @@ void RaftReplica::StartRealElection() {
   for (size_t i = 0; i < peers_.size(); ++i) {
     if (i == self_index_) continue;
     RaftReplica* peer = peers_[i];
-    SendTo(peer->id(), options_.header_bytes,
+    SendTo(peer->id(), kHeaderBytes,
            [peer, term, last_index, last_term, self = self_index_]() {
              peer->HandleRequestVote(term, last_index, last_term, self);
            });
@@ -312,7 +325,7 @@ void RaftReplica::HandleRequestVote(uint64_t term, uint64_t last_log_index,
   }
   RaftReplica* candidate = peers_[from_index];
   uint64_t reply_term = term_;
-  SendTo(candidate->id(), options_.header_bytes,
+  SendTo(candidate->id(), kHeaderBytes,
          [candidate, reply_term, granted, self = self_index_]() {
            candidate->HandleVoteResponse(reply_term, granted, self);
          });
@@ -357,7 +370,7 @@ void RaftReplica::HeartbeatTick() {
   // of a partition) must stop acting as leader so clients fail over to the
   // majority's new leader instead of proposing into a dead end.
   if (peers_.size() > 1) {
-    SimDuration stale_after = 2 * options_.election_timeout_max;
+    SimDuration stale_after = 2 * kElectionTimeoutMax;
     int fresh = 1;  // self
     for (size_t i = 0; i < peers_.size(); ++i) {
       if (i == self_index_) continue;
@@ -379,7 +392,7 @@ void RaftReplica::HeartbeatTick() {
     if (TransferLeadership()) {
       commit_latency_ewma_ = -1.0;
       propose_times_.clear();
-      fail_away_cooldown_until_ = TrueNow() + 2 * options_.election_timeout_max;
+      fail_away_cooldown_until_ = TrueNow() + 2 * kElectionTimeoutMax;
     }
   }
   for (size_t i = 0; i < peers_.size(); ++i) {
@@ -388,12 +401,12 @@ void RaftReplica::HeartbeatTick() {
     // If a follower has been silent for a while (crashed peer, lost
     // leadership handshake), rewind the pipeline and retransmit.
     if (ps.match_index < ps.sent_index &&
-        TrueNow() - ps.last_send > 4 * options_.heartbeat_interval) {
+        TrueNow() - ps.last_send > 4 * kHeartbeatInterval) {
       ps.sent_index = ps.match_index;
     }
     MaybeSendTo(i, /*force=*/true);
   }
-  After(options_.heartbeat_interval, [this]() { HeartbeatTick(); });
+  After(kHeartbeatInterval, [this]() { HeartbeatTick(); });
 }
 
 void RaftReplica::BroadcastAppend() {
@@ -429,7 +442,7 @@ void RaftReplica::MaybeSendTo(size_t peer_index, bool force) {
   ps.sent_index += entries.size();
   ps.last_send = TrueNow();
   ps.last_sent_commit = commit_index_;
-  size_t bytes = options_.header_bytes + entries.size() * options_.entry_bytes;
+  size_t bytes = kHeaderBytes + entries.size() * kEntryBytes;
   RaftReplica* peer = peers_[peer_index];
   uint64_t term = term_;
   uint64_t leader_commit = commit_index_;
@@ -504,7 +517,7 @@ void RaftReplica::HandleAppendEntries(uint64_t term, uint64_t prev_index,
   uint64_t match = success ? prev_index + entries.size() : 0;
   uint64_t reply_term = term_;
   bool ok = success;
-  SendTo(leader->id(), options_.header_bytes,
+  SendTo(leader->id(), kHeaderBytes,
          [leader, reply_term, ok, match, self = self_index_]() {
            leader->HandleAppendResponse(reply_term, ok, match, self);
          });

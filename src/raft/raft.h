@@ -56,14 +56,10 @@ struct LogEntry {
 /// the replication substrate is honest about quorums).
 class RaftReplica : public net::Node {
  public:
+  /// Leader heartbeat period; also the follower suspicion-check period.
+  static constexpr SimDuration kHeartbeatInterval = Millis(50);
+
   struct Options {
-    SimDuration heartbeat_interval = Millis(50);
-    SimDuration election_timeout_min = Millis(300);
-    SimDuration election_timeout_max = Millis(600);
-    /// Wire bytes charged per replicated log entry.
-    size_t entry_bytes = 128;
-    /// Fixed wire bytes per AppendEntries/vote message.
-    size_t header_bytes = 64;
     /// Leader-side group-commit window: a proposal opens a flush window of
     /// this length, and every further proposal accepted before it fires is
     /// coalesced into the same AppendEntries per follower. 0 (default)
@@ -74,10 +70,10 @@ class RaftReplica : public net::Node {
     /// Pre-vote (Raft thesis §4.2.3): before incrementing its term a
     /// would-be candidate polls the group with the term it intends to use;
     /// peers grant only if the candidate's log is current AND they have not
-    /// heard from a live leader within election_timeout_min. An isolated
-    /// replica therefore stops inflating its term, and its rejoin no longer
-    /// deposes a healthy leader. Off by default: enabling it changes
-    /// election message flow, so fault goldens opt in explicitly.
+    /// heard from a live leader within the minimum election timeout. An
+    /// isolated replica therefore stops inflating its term, and its rejoin
+    /// no longer deposes a healthy leader. Off by default: enabling it
+    /// changes election message flow, so fault goldens opt in explicitly.
     bool pre_vote = false;
     /// Leader-side gray-failure fail-away: when > 0, the leader tracks an
     /// EWMA of its propose->commit latency and, once the EWMA crosses this
@@ -146,13 +142,12 @@ class RaftReplica : public net::Node {
 
   /// Wires φ-accrual suspicion of this replica's current leader: accepted
   /// AppendEntries feed `stream` of `fd`, and a periodic follower-side
-  /// check (every heartbeat_interval) starts an election — pre-vote
-  /// protected when enabled — once suspicion reaches `phi_suspect`. This
+  /// check (every kHeartbeatInterval) starts an election — pre-vote
+  /// protected when enabled — once suspicion reaches φ = 8. This
   /// reacts to a gray-stalled leader in a few heartbeat intervals instead
   /// of a full election timeout. One-shot; only gray-defense runs call it
   /// (the periodic check adds kernel events, so default runs must not).
-  void EnableSuspicion(net::FailureDetector* fd, int stream,
-                       double phi_suspect);
+  void EnableSuspicion(net::FailureDetector* fd, int stream);
 
   /// Leader-only: picks the best-caught-up follower with a fresh ack and
   /// sends it TimeoutNow, making it start an immediate election (bypassing
@@ -264,7 +259,6 @@ class RaftReplica : public net::Node {
   // enabled for this run.
   net::FailureDetector* fd_ = nullptr;
   int fd_stream_ = -1;
-  double phi_suspect_ = 8.0;
   SimTime suspicion_cooldown_until_ = 0;
 };
 

@@ -138,12 +138,7 @@ Simulator::~Simulator() = default;
 void Simulator::ConfigureParallel(const ParallelOptions& options) {
   NATTO_CHECK(parallel_ == nullptr && next_seq_ == 0 && executed_ == 0)
       << "ConfigureParallel must run before any event is scheduled";
-  if (options.num_threads <= 1) return;  // serial kernel, exact code path
   parallel_ = std::make_unique<ParallelKernel>(this, options);
-}
-
-bool Simulator::site_parallel() const {
-  return parallel_ != nullptr && parallel_->site_parallel();
 }
 
 int Simulator::CurrentLane() const {
@@ -168,9 +163,9 @@ bool Simulator::ParallelCancel(EventId id) { return parallel_->Cancel(id); }
 void Simulator::ParallelDefer(Callback fn) { parallel_->Defer(std::move(fn)); }
 
 void Simulator::SetParallelPhaseStats(ParallelPhaseStats* stats) {
-  if (parallel_ != nullptr && parallel_->site_parallel()) {
-    parallel_->phase_stats_ = stats;
-  }
+  NATTO_CHECK(parallel_ != nullptr) << "SetParallelPhaseStats needs the "
+                                       "kernel ConfigureParallel installs";
+  parallel_->phase_stats_ = stats;
 }
 
 void Simulator::ParallelRun(SimTime limit, bool settle) {
@@ -184,9 +179,12 @@ ParallelKernel::ParallelKernel(Simulator* sim, const ParallelOptions& options)
       num_sites_(options.num_sites),
       lookahead_(options.lookahead) {
   NATTO_CHECK(options.num_threads >= 2);
-  NATTO_CHECK(num_sites_ >= 0 && num_sites_ < kMaxSites);
-  NATTO_CHECK(lookahead_ >= 0);
-  if (num_sites_ == 0) return;  // degenerate mode: no partitions, no pool
+  NATTO_CHECK(num_sites_ >= 2 && num_sites_ < kMaxSites)
+      << "the site-parallel kernel needs at least two sites, got "
+      << num_sites_;
+  NATTO_CHECK(lookahead_ > 0)
+      << "the site-parallel kernel needs a positive lookahead, got "
+      << lookahead_;
   sites_.reserve(static_cast<size_t>(num_sites_));
   for (int s = 0; s < num_sites_; ++s) {
     sites_.push_back(std::make_unique<ParallelSiteContext>(this, s));
@@ -201,14 +199,12 @@ ParallelKernel::ParallelKernel(Simulator* sim, const ParallelOptions& options)
 }
 
 ParallelKernel::~ParallelKernel() {
-  if (!threads_.empty()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      shutdown_ = true;
-    }
-    cv_work_.notify_all();
-    for (std::thread& t : threads_) t.join();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    shutdown_ = true;
   }
+  cv_work_.notify_all();
+  for (std::thread& t : threads_) t.join();
 }
 
 SimTime ParallelKernel::NowOnLane() const {
@@ -255,9 +251,6 @@ uint64_t ParallelKernel::MainSchedule(int site, SimTime t, EventFn fn) {
   if (t < sim_->now_) t = sim_->now_;
   uint64_t seq = sim_->next_seq_++;
   int dst = site == Simulator::kInheritSite ? main_site_ : site;
-  // Degenerate mode has no site queues; every site designation routes to
-  // the global queue, making ScheduleAtSite == ScheduleAt exactly.
-  if (num_sites_ == 0) dst = Simulator::kGlobalSite;
   NATTO_DCHECK(dst >= Simulator::kGlobalSite && dst < num_sites_);
   if (dst >= 0) {
     sites_[static_cast<size_t>(dst)]->queue.Push(t, seq, std::move(fn),
@@ -336,22 +329,6 @@ bool ParallelKernel::Issued(uint64_t id,
 
 void ParallelKernel::RunUntilTime(SimTime limit, bool settle) {
   sim_->stopped_.store(false, std::memory_order_relaxed);
-  if (num_sites_ == 0) {
-    // Degenerate mode: the serial loop verbatim (only the dispatch above
-    // differs from a plain Simulator).
-    while (!sim_->stopped_.load(std::memory_order_relaxed)) {
-      EventNode* n = sim_->queue_.PopIfAtMost(limit);
-      if (n == nullptr) break;
-      sim_->FireOrDiscard(n);
-    }
-    if (settle && !sim_->stopped_.load(std::memory_order_relaxed) &&
-        sim_->now_ < limit) {
-      sim_->now_ = limit;
-      sim_->queue_.AdvanceTo(sim_->now_);
-    }
-    return;
-  }
-
   while (!sim_->stopped_.load(std::memory_order_relaxed)) {
     // Pick the globally earliest (time, seq) head. Between windows every
     // pending node carries a canonical seq (provisional nodes never
@@ -369,7 +346,7 @@ void ParallelKernel::RunUntilTime(SimTime limit, bool settle) {
       }
     }
     if (best == nullptr || best->time > limit) break;
-    if (best_site != Simulator::kGlobalSite && lookahead_ > 0) {
+    if (best_site != Simulator::kGlobalSite) {
       SimTime w = best->time;
       SimTime w_end =
           w > kSimTimeMax - lookahead_ ? kSimTimeMax : w + lookahead_;

@@ -69,22 +69,12 @@ struct ParallelPhaseStats {
 ///     in-flight window completes (deterministically), then the run loop
 ///     returns. Serial execution would have stopped after the calling
 ///     event; tests comparing against serial account for this.
-///
-/// With `num_sites == 0` (degenerate mode, used by txn::Cluster for
-/// configurations that are not site-parallel eligible) the kernel keeps
-/// every event in the global queue and runs the literal serial loop on the
-/// calling thread; workers are never spawned and output is byte-identical
-/// by construction.
 class ParallelKernel {
  public:
   ParallelKernel(Simulator* sim, const ParallelOptions& options);
   ~ParallelKernel();
   ParallelKernel(const ParallelKernel&) = delete;
   ParallelKernel& operator=(const ParallelKernel&) = delete;
-
-  bool site_parallel() const { return num_sites_ > 0; }
-  int num_sites() const { return num_sites_; }
-  SimDuration lookahead() const { return lookahead_; }
 
  private:
   friend class Simulator;

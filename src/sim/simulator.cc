@@ -71,32 +71,23 @@ void Simulator::FireOrDiscard(EventNode* n) {
   firing_seq_ = kNoParent;
 }
 
-void Simulator::Run() {
-  if (parallel_ != nullptr) {
-    ParallelRun(kSimTimeMax, /*settle=*/false);
-    return;
-  }
-  stopped_ = false;
-  while (!stopped_) {
-    EventNode* n = queue_.PopIfAtMost(kSimTimeMax);
-    if (n == nullptr) break;
-    FireOrDiscard(n);
-  }
-}
+void Simulator::Run() { RunUntilTime(kSimTimeMax, /*settle=*/false); }
 
-void Simulator::RunUntil(SimTime t) {
+void Simulator::RunUntil(SimTime t) { RunUntilTime(t, /*settle=*/true); }
+
+void Simulator::RunUntilTime(SimTime limit, bool settle) {
   if (parallel_ != nullptr) {
-    ParallelRun(t, /*settle=*/true);
+    ParallelRun(limit, settle);
     return;
   }
   stopped_ = false;
   while (!stopped_) {
-    EventNode* n = queue_.PopIfAtMost(t);
+    EventNode* n = queue_.PopIfAtMost(limit);
     if (n == nullptr) break;
     FireOrDiscard(n);
   }
-  if (!stopped_ && now_ < t) {
-    now_ = t;
+  if (settle && !stopped_ && now_ < limit) {
+    now_ = limit;
     queue_.AdvanceTo(now_);
   }
 }

@@ -17,30 +17,29 @@ class ParallelKernel;
 struct ParallelPhaseStats;
 
 /// Configuration for the intra-run parallel kernel (sim/parallel_kernel.h,
-/// DESIGN.md §4.11). Default-constructed options describe the serial
-/// kernel; ConfigureParallel with num_threads <= 1 is a no-op. No option
-/// changes what Schedule*, Cancel or DeferOrdered do; only a worker-lane
-/// Stop() lands later (see Stop()).
+/// DESIGN.md §4.11). Only a site-parallel kernel is valid: at least two
+/// threads and two sites, and a positive lookahead (ConfigureParallel
+/// NATTO_CHECKs all three). No option changes what Schedule*, Cancel or
+/// DeferOrdered do; only a worker-lane Stop() lands later (see Stop()).
 struct ParallelOptions {
   /// Worker threads, including the caller (which participates in windows).
-  int num_threads = 1;
-  /// Site partitions owning their own CalendarQueue. 0 = degenerate mode:
-  /// every event stays in the global queue and RunUntil executes the exact
-  /// serial loop, but through the kernel's dispatch path.
-  int num_sites = 0;
+  int num_threads;
+  /// Site partitions owning their own CalendarQueue.
+  int num_sites;
   /// Conservative PDES lookahead: a callback firing at time T on one site
-  /// may schedule onto *another* site no earlier than T + lookahead. 0
-  /// forces every event through the serialized path (correct, no speedup).
-  SimDuration lookahead = 0;
+  /// may schedule onto *another* site no earlier than T + lookahead.
+  SimDuration lookahead;
 };
 
 /// Deterministic discrete-event simulator. All nodes (clients, servers,
 /// proxies, replicas) share one `Simulator`; events scheduled at equal times
 /// run in scheduling order (FIFO), which keeps runs exactly reproducible.
 ///
-/// The kernel is single-threaded by design: the evaluation quantities
-/// (latency distributions under WAN delays) depend on message timing, not on
-/// host parallelism, and determinism makes property tests possible.
+/// It runs serially unless ConfigureParallel installs the site-parallel
+/// kernel, which executes per-site events on worker threads and merges
+/// them back into the exact serial order: the evaluation quantities
+/// (latency distributions under WAN delays) depend on message timing, not
+/// on host parallelism, and determinism makes property tests possible.
 ///
 /// Internals (DESIGN.md §4.8): events are pooled nodes in a calendar queue
 /// (64 µs buckets, overflow heap past a ~524 ms horizon) and callbacks are
@@ -75,7 +74,7 @@ class Simulator {
   static constexpr int kInheritSite = -2;  // same site as the caller
 
   /// ScheduleAt variant that names the partition the event belongs to.
-  /// Serial kernel (and degenerate parallel mode): identical to ScheduleAt.
+  /// Serial kernel: identical to ScheduleAt.
   /// Site-parallel kernel: the event lands in `site`'s calendar queue and
   /// fires on that site's lane. Cross-site schedules from a worker must
   /// satisfy t >= window_end (guaranteed when t >= Now() + lookahead).
@@ -121,25 +120,23 @@ class Simulator {
   /// (its merged outcome is deterministic), then the run loop returns.
   void Stop() { stopped_.store(true, std::memory_order_relaxed); }
 
-  /// Installs the parallel kernel (sim/parallel_kernel.h). Must be called
-  /// before any event is scheduled or executed; no-op when
-  /// options.num_threads <= 1, keeping the exact serial code path.
+  /// Installs the site-parallel kernel (sim/parallel_kernel.h). Must be
+  /// called before any event is scheduled or executed; callers that want
+  /// the serial kernel simply do not call it.
   void ConfigureParallel(const ParallelOptions& options);
 
-  /// True when the site-parallel kernel is installed (num_sites > 0).
-  /// Transport uses this to insist on its stateless fast path.
-  bool site_parallel() const;
+  /// True when the site-parallel kernel is installed. Transport uses this
+  /// to insist on its stateless fast path.
+  bool site_parallel() const { return parallel_ != nullptr; }
 
-  /// Points the site-parallel kernel at a phase-profiling sink
-  /// (sim/parallel_kernel.h). Null (the default) disables collection; a
-  /// no-op on the serial kernel and in degenerate mode. Timing never feeds
+  /// Points the installed site-parallel kernel at a phase-profiling sink
+  /// (sim/parallel_kernel.h); null disables collection. Timing never feeds
   /// back into execution, so determinism is unaffected.
   void SetParallelPhaseStats(ParallelPhaseStats* stats);
 
   /// Execution lane of the calling thread: 0 on the main thread (serial
-  /// kernel, degenerate mode, and between windows), 1 + site inside a
-  /// worker-executed event. Indexes per-lane pools (e.g. Transport
-  /// envelopes).
+  /// kernel, and between windows), 1 + site inside a worker-executed event.
+  /// Indexes per-lane pools (e.g. Transport envelopes).
   int CurrentLane() const;
 
   /// Number of events not yet executed (cancelled-but-undrained events
@@ -167,6 +164,11 @@ class Simulator {
   /// Runs the node's callback (or discards it if cancelled) and recycles
   /// the node into the queue's pool.
   void FireOrDiscard(EventNode* n);
+
+  /// The loop behind Run() and RunUntil(): fires events with time <=
+  /// `limit` until the queues drain or Stop(); with `settle`, then moves
+  /// Now() up to `limit` unless stopped.
+  void RunUntilTime(SimTime limit, bool settle);
 
   /// Parallel-kernel delegates, defined in parallel_kernel.cc (the only TU
   /// that sees the full ParallelKernel type).

@@ -9,6 +9,11 @@
 namespace natto::txn {
 
 namespace {
+
+/// A Propose that neither commits nor fails within this window once a
+/// fault schedule is installed is treated as lost to a leader failure.
+constexpr SimDuration kReplicationTimeout = Millis(1500);
+
 std::unique_ptr<net::DelayModel> MakeDelayModel(const ClusterOptions& opts) {
   if (opts.delay_variance_ratio > 0.0) {
     return net::MakeParetoDelay(opts.delay_variance_ratio);
@@ -28,9 +33,13 @@ Cluster::Cluster(net::LatencyMatrix matrix, Topology topology,
       rng_(options_.seed) {
   NATTO_CHECK(topology_.num_sites() <= matrix_.num_sites())
       << "topology uses more sites than the latency matrix defines";
-  if (SiteConfinedModel() &&
-      (options_.transport.node_cost_per_message > 0 ||
-       options_.transport.node_cost_per_kib > 0)) {
+  // A negative ratio would silently select constant delays.
+  NATTO_CHECK(options_.delay_variance_ratio >= 0.0)
+      << "delay_variance_ratio must be >= 0, got "
+      << options_.delay_variance_ratio;
+  NATTO_CHECK(options_.uniform_jitter >= 0.0 && options_.uniform_jitter < 1.0)
+      << "uniform_jitter must be in [0, 1), got " << options_.uniform_jitter;
+  if (SiteConfinedModel() && options_.transport.node_cost_per_message > 0) {
     // The CPU-cost model's FIFO queue is cross-site state when serviced at
     // send time; site-confined configs service at arrival on the
     // receiver's lane instead. Decided by the simulated config alone, so
@@ -38,20 +47,13 @@ Cluster::Cluster(net::LatencyMatrix matrix, Topology topology,
     // transport construction.
     options_.transport.deferred_node_service = true;
   }
-  if (options_.sim_threads > 1) {
-    // Site-parallel windows when the config is eligible; degenerate mode
-    // (num_sites = 0: every event stays in the global queue, serial loop
-    // on the calling thread) otherwise. Both are byte-identical to serial
-    // at any thread count. Must precede any scheduling — this is the first
-    // simulator touch in construction.
-    int kernel_sites = SiteParallelEligible() ? topology_.num_sites() : 0;
+  if (options_.sim_threads > 1 && SiteParallelEligible()) {
+    // Site-parallel windows, byte-identical to serial at any thread count;
+    // an ineligible config keeps the serial kernel. Must precede any
+    // scheduling — this is the first simulator touch in construction.
     simulator_.ConfigureParallel(sim::ParallelOptions{
-        options_.sim_threads, kernel_sites, ConservativeLookahead()});
-    if (options_.parallel_phase_stats != nullptr) {
-      // No-op unless the kernel is actually in site-parallel mode, so a
-      // degenerate fallback never reports misleading window stats.
-      simulator_.SetParallelPhaseStats(options_.parallel_phase_stats);
-    }
+        options_.sim_threads, topology_.num_sites(), ConservativeLookahead()});
+    simulator_.SetParallelPhaseStats(options_.parallel_phase_stats);
   }
   if (options_.dsan.enabled) {
     // Attach before anything draws randomness or schedules events so the
@@ -84,7 +86,7 @@ Cluster::Cluster(net::LatencyMatrix matrix, Topology topology,
     group_ptrs.reserve(groups_.size());
     for (auto& g : groups_) {
       g->StartTimers();
-      g->EnableFailureHandling(options_.replication_timeout);
+      g->EnableFailureHandling(kReplicationTimeout);
       g->SetOnLeaderChange([this](raft::RaftReplica*) {
         metrics_.GetCounter("fault.leader_elections")->Inc();
       });
@@ -94,20 +96,18 @@ Cluster::Cluster(net::LatencyMatrix matrix, Topology topology,
         &simulator_, transport_.get(), std::move(group_ptrs), &metrics_,
         tracer_.get(), options_.fault_schedule);
     fault_injector_->Arm();
-    if (options_.gray.enabled) {
+    if (options_.gray_defense) {
       // Gray defense rides on the chaos wiring: suspicion elections need
       // the election timers armed above, so the detector only exists in
       // fault runs (fault-free runs keep the exact pre-gray event stream).
-      failure_detector_ =
-          std::make_unique<net::FailureDetector>(options_.gray.detector);
+      failure_detector_ = std::make_unique<net::FailureDetector>();
       failure_detector_->RegisterMetrics(&metrics_);
       for (int p = 0; p < topology_.num_partitions(); ++p) {
         raft::RaftGroup* g = groups_[static_cast<size_t>(p)].get();
         for (size_t r = 0; r < g->size(); ++r) {
           int stream = failure_detector_->AddStream(
               "p" + std::to_string(p) + ".r" + std::to_string(r));
-          g->replica(r)->EnableSuspicion(failure_detector_.get(), stream,
-                                         options_.gray.phi_suspect);
+          g->replica(r)->EnableSuspicion(failure_detector_.get(), stream);
         }
       }
     }
@@ -119,16 +119,14 @@ bool Cluster::SiteParallelEligible() const {
 }
 
 bool Cluster::SiteConfinedModel() const {
-  const net::TransportOptions& t = options_.transport;
-  bool stateless_wire = t.max_batch_bytes == 0 && t.packet_loss == 0.0 &&
-                        t.link_bandwidth_bytes_per_sec == 0.0;
-  return options_.fault_schedule.empty() && !options_.gray.enabled &&
-         options_.delay_variance_ratio == 0.0 &&
-         options_.uniform_jitter == 0.0 && stateless_wire &&
-         topology_.num_sites() >= 2 && ConservativeLookahead() > 0;
+  // A stateless wire's delay model never scales below 1, so its lookahead
+  // is the minimum cross-site delay itself.
+  return options_.fault_schedule.empty() && !options_.gray_defense &&
+         net::StatelessWire(options_.transport, *MakeDelayModel(options_)) &&
+         topology_.num_sites() >= 2 && MinCrossSiteDelay() > 0;
 }
 
-SimDuration Cluster::ConservativeLookahead() const {
+SimDuration Cluster::MinCrossSiteDelay() const {
   SimDuration min_delay = kSimTimeMax;
   int n = topology_.num_sites();
   for (int a = 0; a < n; ++a) {
@@ -137,7 +135,12 @@ SimDuration Cluster::ConservativeLookahead() const {
       min_delay = std::min(min_delay, matrix_.OneWay(a, b));
     }
   }
-  if (min_delay == kSimTimeMax) return 0;  // single-site deployment
+  return min_delay == kSimTimeMax ? 0 : min_delay;  // 0: single site
+}
+
+SimDuration Cluster::ConservativeLookahead() const {
+  SimDuration min_delay = MinCrossSiteDelay();
+  if (min_delay == 0) return 0;
   double scale = MakeDelayModel(options_)->min_scale_factor();
   return static_cast<SimDuration>(static_cast<double>(min_delay) * scale);
 }

@@ -56,37 +56,24 @@ struct ClusterOptions {
   /// no-fault runs stay byte-identical to builds without the fault layer.
   fault::FaultSchedule fault_schedule;
 
-  /// Raft replication completion timeout used when a fault schedule is
-  /// installed: a Propose that neither commits nor fails within this window
-  /// is treated as lost to a leader failure.
-  SimDuration replication_timeout = Millis(1500);
-
   /// Gray-failure defense wiring (off by default: no detector, no streams,
   /// no suspicion ticks — byte-identical to builds without the feature).
   /// Takes effect only alongside a fault schedule, which is what arms
   /// election timers; enabling it constructs a φ-accrual FailureDetector
   /// with one stream per replica (fed by that replica's accepted
-  /// AppendEntries) and arms follower-side suspicion elections at
-  /// `phi_suspect`. Pair with ClusterOptions::raft.pre_vote and
-  /// fail_away_commit_latency for the full defense stack.
-  struct GrayDefense {
-    bool enabled = false;
-    /// Suspicion threshold: φ = 8 is ~1e-8 odds the heartbeat is merely
-    /// late, the classic accrual-detector operating point.
-    double phi_suspect = 8.0;
-    net::FailureDetector::Options detector;
-  };
-  GrayDefense gray;
+  /// AppendEntries) and arms follower-side suspicion elections
+  /// (raft::RaftReplica::EnableSuspicion). Pair with
+  /// ClusterOptions::raft.pre_vote and fail_away_commit_latency for the
+  /// full defense stack.
+  bool gray_defense = false;
 
   /// Simulation kernel threads (NATTO_SIM_THREADS). 1 (default) runs the
-  /// exact serial kernel. >1 installs the parallel kernel: site-parallel
-  /// windows (num_sites = topology sites, lookahead =
-  /// ConservativeLookahead()) when the configuration is eligible — see
-  /// Cluster::SiteParallelEligible() — and degenerate (all-global) mode
-  /// otherwise, where every event stays in the global queue and the
-  /// windowed dispatch path still runs end-to-end. Both modes are
-  /// byte-identical to serial at any thread count: site-parallel by the
-  /// kernel's barrier merge (DESIGN.md §4.11), degenerate by construction.
+  /// serial kernel. >1 installs the site-parallel kernel (num_sites =
+  /// topology sites, lookahead = ConservativeLookahead()) when the
+  /// configuration is eligible — see Cluster::SiteParallelEligible() — and
+  /// leaves the serial kernel in place otherwise. Every thread count is
+  /// byte-identical to serial: the kernel's barrier merge reproduces the
+  /// serial event order (DESIGN.md §4.11).
   int sim_threads = 1;
 
   /// Optional self-profiling sink for the site-parallel kernel (see
@@ -150,7 +137,7 @@ class Cluster {
   fault::FaultInjector* fault_injector() { return fault_injector_.get(); }
 
   /// The φ-accrual detector watching every replica's leader heartbeats, or
-  /// nullptr unless `gray.enabled` (same null fast path as the injector).
+  /// nullptr unless `gray_defense` (same null fast path as the injector).
   net::FailureDetector* failure_detector() { return failure_detector_.get(); }
 
   /// Hedge-attempt origin for a client at `site`: the nearest site served
@@ -170,10 +157,10 @@ class Cluster {
   /// windows. A pure function of the config — never of sim_threads — so a
   /// serial run and a parallel run of the same config make identical
   /// decisions and stay byte-identical. Eligible = fault-free (empty fault
-  /// schedule, no gray wiring), no tracer, deterministic constant delays,
-  /// stateless wire (no batching, loss, or capacity), at least two sites,
-  /// and a positive lookahead. Ineligible configs run degenerate mode
-  /// under sim_threads>1, which is byte-identical by construction.
+  /// schedule, no gray wiring), no tracer, a stateless wire
+  /// (net::StatelessWire: constant delays, no batching, loss, or capacity),
+  /// at least two sites, and a positive lookahead. Ineligible configs run
+  /// the serial kernel at any sim_threads.
   bool SiteParallelEligible() const;
 
  private:
@@ -182,6 +169,9 @@ class Cluster {
   /// (deferred_node_service), so switching the tracer on changes only the
   /// kernel a run executes on, never a simulated number.
   bool SiteConfinedModel() const;
+  /// Minimum one-way delay between two of the topology's sites; 0 for a
+  /// single-site deployment.
+  SimDuration MinCrossSiteDelay() const;
 
   net::LatencyMatrix matrix_;
   Topology topology_;

@@ -11,7 +11,7 @@ namespace natto::workload {
 /// Zipfian distribution over {0, ..., n-1} with exponent `theta` (the
 /// paper's "Zipfian coefficient", default 0.65). Uses the classic
 /// Gray et al. rejection-free inverse method with a precomputed zeta
-/// constant; theta == 0 degenerates to uniform.
+/// constant; theta == 0 reduces to uniform.
 class ZipfGenerator {
  public:
   ZipfGenerator(uint64_t n, double theta);

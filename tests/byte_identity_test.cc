@@ -167,7 +167,7 @@ void RunGrayChaosAndRender(
   config.backoff_base = Millis(25);
   config.timeline_bucket = Seconds(1);
   config.max_attempts = 8;
-  config.cluster.gray.enabled = true;
+  config.cluster.gray_defense = true;
   config.cluster.raft.pre_vote = true;
   config.cluster.raft.fail_away_commit_latency = Millis(400);
   config.hedge_percentile = 0.95;
@@ -271,14 +271,13 @@ TEST(ByteIdentityTest, ChaosScheduleTablesAreByteIdentical) {
 
 TEST(ByteIdentityTest, BatchingOffIsByteIdenticalToGolden) {
   // max_batch_bytes = 0 disables link batching entirely; the other batching
-  // knobs (delay, framing, raft group-commit window) must then be inert, so
-  // setting them to non-default values still renders the exact golden bytes
-  // of the pre-batching build.
+  // knobs (delay, raft group-commit window) must then be inert, so setting
+  // them to non-default values still renders the exact golden bytes of the
+  // pre-batching build.
   std::string rendered;
   RunAndRender("1", &rendered, [](ExperimentConfig* c) {
     c->cluster.transport.max_batch_bytes = 0;
     c->cluster.transport.max_batch_delay = Millis(5);
-    c->cluster.transport.framing_bytes_per_message = 64;
     c->cluster.raft.group_commit_delay = 0;
   });
   ASSERT_EQ(unsetenv("NATTO_JOBS"), 0);
@@ -353,15 +352,15 @@ TEST(ByteIdentityTest, DsanDigestsMatchSerialVsParallelOnFailoverChaos) {
 // NATTO_SIM_THREADS=4 installs the parallel simulation kernel (DESIGN.md
 // §4.11). The fig7 tiny config is site-parallel eligible — the engine stack
 // genuinely executes on per-site lanes — so matching the pre-parallel golden
-// here proves site confinement end to end; the chaos configs below fall back
-// to degenerate mode (fault schedules are global actors) and must be just as
-// byte-identical. The contract is byte-identity at any thread count, alone
-// and combined with the NATTO_JOBS cell fan-out, down to the dsan digest
-// trails.
+// here proves site confinement end to end; the chaos configs below are
+// ineligible (fault schedules are global actors), run the serial kernel and
+// must be just as byte-identical. The contract is byte-identity at any
+// thread count, alone and combined with the NATTO_JOBS cell fan-out, down
+// to the dsan digest trails.
 TEST(ByteIdentityTest, Fig7TinyConfigIsSiteParallelEligible) {
   // Guards the golden tests below against going vacuous: if an eligibility
-  // rule tightens and the fig7 config silently falls back to degenerate
-  // mode, the sim_threads runs would no longer prove site confinement.
+  // rule tightens and the fig7 config silently falls back to the serial
+  // kernel, the sim_threads runs would no longer prove site confinement.
   ExperimentConfig config = TinyConfig(20);
   config.cluster.sim_threads = 4;
   txn::Topology topology = txn::Topology::Spread(
@@ -467,15 +466,14 @@ TEST(ByteIdentityTest, SimThreads4IsByteIdenticalToSerialOnGrayChaos) {
 }
 
 // Zero-overhead proof for the gray-defense knobs: armed but untriggerable,
-// they must not move a byte of the fault-free fig7 golden. gray.enabled and
+// they must not move a byte of the fault-free fig7 golden. gray_defense and
 // pre_vote are structurally inert without a fault schedule (no injector, no
 // raft timers); fail-away and hedging are armed with thresholds no
 // fault-free run can reach.
 TEST(ByteIdentityTest, InertGrayKnobsLeaveFig7GoldenUntouched) {
   std::string rendered;
   RunAndRender("1", &rendered, [](ExperimentConfig* c) {
-    c->cluster.gray.enabled = true;
-    c->cluster.gray.phi_suspect = 2.0;
+    c->cluster.gray_defense = true;
     c->cluster.raft.pre_vote = true;
     c->cluster.raft.fail_away_commit_latency = Seconds(10);
     c->hedge_percentile = 0.95;

@@ -132,11 +132,10 @@ TEST(ClusterTest, SimThreadsEngagesSiteParallelWhenEligible) {
   EXPECT_EQ(done, done_serial);
 }
 
-TEST(ClusterTest, SimThreadsFallsBackToDegenerateWhenIneligible) {
+TEST(ClusterTest, SimThreadsRunsSerialKernelWhenIneligible) {
   // Randomized delays make the config ineligible (per-message RNG draws are
-  // cross-site state): the kernel installs in degenerate mode — dispatch
-  // runs through it but every event stays in the global queue — and output
-  // is byte-identical to serial by construction.
+  // cross-site state): no kernel is installed, so sim_threads > 1 runs the
+  // plain serial Simulator and commits exactly when a serial run does.
   ClusterOptions o = NoSkew();
   o.sim_threads = 4;
   o.delay_variance_ratio = 0.2;
@@ -209,6 +208,24 @@ TEST(ClusterTest, TracingLeavesCpuCostResultsUnchanged) {
   EXPECT_TRUE(traced.metrics == untraced.metrics)
       << "traced:   " << traced.metrics.ToJson()
       << "\nuntraced: " << untraced.metrics.ToJson();
+}
+
+TEST(ClusterDeathTest, RejectsNegativeVarianceAndOutOfRangeJitter) {
+  // A negative variance ratio or jitter would otherwise run silently as
+  // constant delays; a jitter of 1 or more used to die only inside the
+  // delay model.
+  ClusterOptions variance = NoSkew();
+  variance.delay_variance_ratio = -0.2;
+  EXPECT_DEATH(Cluster(net::LatencyMatrix::AzureFive(),
+                       Topology::Spread(3, 3, 5), variance),
+               "delay_variance_ratio must be >= 0");
+  for (double jitter : {-0.1, 1.0}) {
+    ClusterOptions o = NoSkew();
+    o.uniform_jitter = jitter;
+    EXPECT_DEATH(
+        Cluster(net::LatencyMatrix::AzureFive(), Topology::Spread(3, 3, 5), o),
+        "uniform_jitter must be in");
+  }
 }
 
 TEST(ClusterTest, RejectsTopologyLargerThanMatrix) {

@@ -27,7 +27,7 @@ namespace {
 // ---------------------------------------------------------------------------
 
 TEST(FailureDetectorTest, PhiRisesThroughSilenceAndResetsOnHeartbeat) {
-  net::FailureDetector fd{net::FailureDetector::Options{}};
+  net::FailureDetector fd;
   int s = fd.AddStream("leader");
   ASSERT_EQ(fd.num_streams(), 1);
 
@@ -60,7 +60,7 @@ TEST(FailureDetectorTest, PhiRisesThroughSilenceAndResetsOnHeartbeat) {
 }
 
 TEST(FailureDetectorTest, PhiIsCappedAtMaxPhi) {
-  net::FailureDetector fd{net::FailureDetector::Options{}};
+  net::FailureDetector fd;
   int s = fd.AddStream("x");
   for (int i = 0; i <= 4; ++i) fd.Heartbeat(s, Millis(50) * i);
   EXPECT_DOUBLE_EQ(fd.Phi(s, Seconds(100)), net::FailureDetector::kMaxPhi);
@@ -70,7 +70,7 @@ TEST(FailureDetectorTest, ColdStartBlendsPriorBeforeWindowFills) {
   // One observed interval (200 ms) against a 50 ms prior: the blended mean
   // sits between them, so silence past a few hundred ms already registers
   // while a single slow sample alone would have said "normal".
-  net::FailureDetector fd{net::FailureDetector::Options{}};
+  net::FailureDetector fd;
   int s = fd.AddStream("sparse");
   fd.Heartbeat(s, 0);
   fd.Heartbeat(s, Millis(200));
@@ -83,7 +83,7 @@ TEST(FailureDetectorTest, ColdStartBlendsPriorBeforeWindowFills) {
 }
 
 TEST(FailureDetectorTest, IgnoresOutOfOrderAndDuplicateArrivals) {
-  net::FailureDetector fd{net::FailureDetector::Options{}};
+  net::FailureDetector fd;
   int s = fd.AddStream("reorder");
   fd.Heartbeat(s, Millis(50));
   fd.Heartbeat(s, Millis(100));
@@ -97,7 +97,7 @@ TEST(FailureDetectorTest, IgnoresOutOfOrderAndDuplicateArrivals) {
 }
 
 TEST(FailureDetectorTest, RegisterMetricsExposesPerStreamGauges) {
-  net::FailureDetector fd{net::FailureDetector::Options{}};
+  net::FailureDetector fd;
   obs::MetricsRegistry registry;
   fd.RegisterMetrics(&registry);
   int a = fd.AddStream("p0.r0");  // added after registration: still gauged

@@ -150,7 +150,6 @@ TEST(TransportTest, PacketLossAddsRetransmitPenalty) {
   sim::Simulator simulator;
   LatencyMatrix matrix = LatencyMatrix::AzureFive();
   TransportOptions opts;
-  opts.packet_loss = 1.0;  // force at least one loss... but 1.0 loops forever
   opts.packet_loss = 0.5;
   Transport t(&simulator, &matrix, MakeConstantDelay(), opts, 7);
   NodeId a = t.AddNode(0);
@@ -168,6 +167,22 @@ TEST(TransportTest, PacketLossAddsRetransmitPenalty) {
   simulator.Run();
   EXPECT_EQ(delayed, kMsgs);            // everything still delivered
   EXPECT_GT(t.messages_lost(), 100u);   // ~half the transmissions were lost
+}
+
+TEST(TransportDeathTest, RejectsLossOutsideZeroToOne) {
+  // Bernoulli(p >= 1) always fires, so a send would retransmit forever; a
+  // negative p would silently mean no loss.
+  for (double loss : {1.0, 1.5, -0.1}) {
+    EXPECT_DEATH(
+        {
+          sim::Simulator simulator;
+          LatencyMatrix matrix = LatencyMatrix::AzureFive();
+          TransportOptions opts;
+          opts.packet_loss = loss;
+          Transport t(&simulator, &matrix, MakeConstantDelay(), opts, 7);
+        },
+        "packet_loss must be in");
+  }
 }
 
 TEST(TransportTest, CapacityModelSerializesLargeTransfers) {

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -235,33 +234,23 @@ TEST(ParallelKernelTest, ScheduleAtSiteOnSerialKernelIsScheduleAt) {
   EXPECT_EQ(sim.Now(), Millis(5));
 }
 
-TEST(ParallelKernelTest, DegenerateModeIsByteIdenticalToSerial) {
-  // num_sites = 0 (what txn::Cluster uses): the kernel runs the literal
-  // serial loop, so even Stop() semantics match exactly.
-  auto run = [](bool parallel) {
-    Simulator sim;
-    if (parallel) {
-      sim.ConfigureParallel(ParallelOptions{4, 0, Millis(1)});
-    }
-    std::vector<std::pair<SimTime, int>> trace;
-    for (int i = 0; i < 40; ++i) {
-      sim.ScheduleAt(Millis(1) + i * 317, [&trace, &sim, i]() {
-        trace.emplace_back(sim.Now(), i);
-        if (i == 10) sim.Stop();
-        if (i % 3 == 0) {
-          sim.ScheduleAfter(Millis(2) + i, [&trace, &sim, i]() {
-            trace.emplace_back(sim.Now(), 1000 + i);
-          });
-        }
-      });
-    }
-    sim.Run();
-    size_t pending_at_stop = sim.pending_events();
-    while (sim.pending_events() > 0) sim.Run();
-    return std::make_tuple(std::move(trace), pending_at_stop, sim.Now(),
-                           sim.executed_events());
-  };
-  EXPECT_EQ(run(true), run(false));
+TEST(ParallelKernelDeathTest, RejectsFewerThanTwoSitesOrNoLookahead) {
+  // Windows need two sites to run side by side and a positive lookahead to
+  // be nonempty; anything less is a configuration error, not a mode.
+  for (int sites : {0, 1}) {
+    EXPECT_DEATH(
+        {
+          Simulator sim;
+          sim.ConfigureParallel(ParallelOptions{4, sites, kLookahead});
+        },
+        "at least two sites");
+  }
+  EXPECT_DEATH(
+      {
+        Simulator sim;
+        sim.ConfigureParallel(ParallelOptions{4, 2, 0});
+      },
+      "positive lookahead");
 }
 
 TEST(ParallelKernelTest, CrossSiteScheduleAtLookaheadFiresInOrder) {

@@ -345,8 +345,8 @@ TEST_F(RaftFixture, PreVoteIsolatedReplicaRejoinsWithoutDeposingLeader) {
   EXPECT_TRUE(committed);
 }
 
-// A peer that has heard from a live leader within election_timeout_min
-// refuses pre-votes (leader stickiness), so a single disruptive replica
+// A peer that has heard from a live leader within the minimum election
+// timeout refuses pre-votes (leader stickiness), so a single disruptive replica
 // cannot even collect a pre-vote majority while the leader is healthy.
 TEST_F(RaftFixture, PreVoteDeniedWhileLeaderIsLive) {
   RaftReplica::Options opts;
@@ -360,7 +360,7 @@ TEST_F(RaftFixture, PreVoteDeniedWhileLeaderIsLive) {
 
   // Sever only leader <-> follower-1: follower 1's election timer fires
   // and it pre-votes at term+1, but follower 2 still hears the live leader
-  // inside election_timeout_min and denies (leader stickiness), so no
+  // inside the minimum election timeout and denies (leader stickiness), so no
   // majority forms and nobody's term moves.
   transport.SetSitePartitioned(0, 1, true);
   simulator.RunUntil(Seconds(4));
@@ -474,10 +474,10 @@ TEST_F(RaftFixture, SuspicionElectsAwayFromGrayStalledLeader) {
   opts.pre_vote = true;
   auto g = std::make_unique<RaftGroup>(&transport, std::vector<int>{0, 1, 2},
                                        opts, rng);
-  net::FailureDetector fd{net::FailureDetector::Options{}};
+  net::FailureDetector fd;
   for (size_t r = 0; r < g->size(); ++r) {
     int stream = fd.AddStream("r" + std::to_string(r));
-    g->replica(r)->EnableSuspicion(&fd, stream, 8.0);
+    g->replica(r)->EnableSuspicion(&fd, stream);
   }
   g->StartTimers();
   int elections = 0;

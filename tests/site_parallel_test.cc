@@ -5,8 +5,10 @@
 // serial run exactly: the full-precision rendering of the run's stats
 // (every latency bit pattern, every counter), the complete metrics
 // snapshot, and the determinism-sanitizer digest trail. Chaos and
-// gray-failure schedules run the same lockstep (they fall back to the
-// kernel's degenerate mode, which must be just as byte-identical).
+// gray-failure schedules run the same lockstep, but their configs are
+// ineligible, so every thread count runs the serial kernel there: those two
+// cases compare serial with serial and pin that sim_threads alone never
+// changes an ineligible run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -178,8 +180,8 @@ TEST(SiteParallelTest, RandomTopologiesRunLockstepAcrossAllEngines) {
 }
 
 TEST(SiteParallelTest, ChaosScheduleRunsLockstep) {
-  // A fault schedule makes the config ineligible: the kernel must fall
-  // back to degenerate mode and stay in lockstep through a leader crash,
+  // A fault schedule makes the config ineligible, so every thread count
+  // runs the serial kernel: serial against serial through a leader crash,
   // recovery, and a site partition with client timeouts and backoff armed.
   ExperimentConfig config = SmallConfig();
   config.request_timeout = Millis(800);
@@ -196,14 +198,14 @@ TEST(SiteParallelTest, ChaosScheduleRunsLockstep) {
 
 TEST(SiteParallelTest, GrayFailureScheduleRunsLockstep) {
   // Gray faults with the full defense stack armed (φ-accrual suspicion,
-  // pre-vote, commit-latency fail-away, hedged requests): also degenerate
-  // mode, also required to hold the lockstep at every thread count.
+  // pre-vote, commit-latency fail-away, hedged requests): also ineligible,
+  // so also serial against serial at every thread count.
   ExperimentConfig config = SmallConfig();
   config.request_timeout = Millis(800);
   config.backoff_base = Millis(25);
   config.timeline_bucket = Seconds(1);
   config.max_attempts = 8;
-  config.cluster.gray.enabled = true;
+  config.cluster.gray_defense = true;
   config.cluster.raft.pre_vote = true;
   config.cluster.raft.fail_away_commit_latency = Millis(400);
   config.hedge_percentile = 0.95;
