@@ -62,11 +62,7 @@ void RaftReplica::SetCrashed(bool crashed) {
   crashed_ = crashed;
   if (crashed_) {
     // Leader-side callbacks for uncommitted entries die with the process.
-    pending_callbacks_.erase(
-        std::remove_if(
-            pending_callbacks_.begin(), pending_callbacks_.end(),
-            [this](const auto& p) { return p.first > commit_index_; }),
-        pending_callbacks_.end());
+    DropUncommittedCallbacks();
     return;
   }
   // Restart as a follower: term, log and vote survive (persisted state);
@@ -158,10 +154,7 @@ void RaftReplica::BecomeFollower(uint64_t term) {
   // Leader-side callbacks for uncommitted entries will never fire on this
   // replica; drop them (engines treat missing callbacks as lost leadership,
   // which only matters in fault tests).
-  pending_callbacks_.erase(
-      std::remove_if(pending_callbacks_.begin(), pending_callbacks_.end(),
-                     [this](const auto& p) { return p.first > commit_index_; }),
-      pending_callbacks_.end());
+  DropUncommittedCallbacks();
 }
 
 void RaftReplica::ResetElectionTimer() {
@@ -462,10 +455,7 @@ void RaftReplica::StepDown() {
   commit_latency_ewma_ = -1.0;
   // voted_for_ is kept: stepping down does not entitle this node to a
   // second vote in the same term.
-  pending_callbacks_.erase(
-      std::remove_if(pending_callbacks_.begin(), pending_callbacks_.end(),
-                     [this](const auto& p) { return p.first > commit_index_; }),
-      pending_callbacks_.end());
+  DropUncommittedCallbacks();
   last_heartbeat_seen_ = TrueNow();
   ResetElectionTimer();
 }
@@ -596,16 +586,26 @@ void RaftReplica::ApplyCommitted() {
     ++applied_index_;
     if (on_apply_) on_apply_(log_[static_cast<size_t>(applied_index_) - 1].payload);
   }
-  // Fire leader-side completion callbacks for newly committed entries.
-  auto it = pending_callbacks_.begin();
-  while (it != pending_callbacks_.end()) {
-    if (it->first <= commit_index_) {
-      auto cb = std::move(it->second);
-      it = pending_callbacks_.erase(it);
-      cb();
-    } else {
-      ++it;
-    }
+  // Fire leader-side completion callbacks for newly committed entries. The
+  // list is in index order. A callback may propose, which appends to (and
+  // may reallocate) the list, or re-enter this function, so the loop keeps
+  // only the member head offset across the call and re-reads the list.
+  while (callbacks_head_ < pending_callbacks_.size() &&
+         pending_callbacks_[callbacks_head_].first <= commit_index_) {
+    std::function<void()> cb =
+        std::move(pending_callbacks_[callbacks_head_++].second);
+    cb();
+  }
+  pending_callbacks_.erase(
+      pending_callbacks_.begin(),
+      pending_callbacks_.begin() + static_cast<ptrdiff_t>(callbacks_head_));
+  callbacks_head_ = 0;
+}
+
+void RaftReplica::DropUncommittedCallbacks() {
+  while (!pending_callbacks_.empty() &&
+         pending_callbacks_.back().first > commit_index_) {
+    pending_callbacks_.pop_back();
   }
 }
 

@@ -191,6 +191,9 @@ class RaftReplica : public net::Node {
   void MaybeSendTo(size_t peer_index, bool force = false);
   void AdvanceCommit();
   void ApplyCommitted();
+  /// Drops the callbacks of entries past the commit index: they can no
+  /// longer fire on this replica.
+  void DropUncommittedCallbacks();
   void ResetElectionTimer();
   void HeartbeatTick();
 
@@ -225,8 +228,11 @@ class RaftReplica : public net::Node {
   uint64_t applied_index_ = 0;
 
   std::vector<PeerState> peer_state_;
-  // Callbacks for locally proposed entries, keyed by log index.
+  // Callbacks for locally proposed entries, keyed by log index, in index
+  // order. The first callbacks_head_ have fired; ApplyCommitted erases them
+  // when it finishes.
   std::vector<std::pair<uint64_t, std::function<void()>>> pending_callbacks_;
+  size_t callbacks_head_ = 0;
   std::function<void(PayloadId)> on_apply_;
   std::function<void(RaftReplica*)> on_became_leader_;
 

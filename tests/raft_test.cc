@@ -498,6 +498,65 @@ TEST_F(RaftFixture, SuspicionElectsAwayFromGrayStalledLeader) {
   EXPECT_GE(elections, 1);
 }
 
+// A commit callback that proposes twice grows (and here reallocates) the
+// leader's callback list while the commit loop is still firing callbacks.
+// Each callback must fire exactly once, in log order, without the loop
+// reading the list's old storage.
+TEST_F(RaftFixture, CommitCallbackThatProposesTwiceFiresEachOnce) {
+  auto g = MakeGroup({0, 1, 2});
+  RaftReplica* leader = g->leader();
+  std::vector<int> fired;
+  ASSERT_TRUE(leader
+                  ->Propose(1,
+                            [&]() {
+                              fired.push_back(1);
+                              ASSERT_TRUE(leader
+                                              ->Propose(2,
+                                                        [&]() {
+                                                          fired.push_back(2);
+                                                        })
+                                              .ok());
+                              ASSERT_TRUE(leader
+                                              ->Propose(3,
+                                                        [&]() {
+                                                          fired.push_back(3);
+                                                        })
+                                              .ok());
+                            })
+                  .ok());
+  simulator.Run();
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(leader->commit_index(), 3u);
+}
+
+// On a single-replica group every propose commits at once, so a callback
+// that proposes re-enters the commit loop; callbacks still fire in log
+// order.
+TEST_F(RaftFixture, ReentrantCommitCallbacksFireInLogOrder) {
+  auto g = MakeGroup({0});
+  RaftReplica* leader = g->leader();
+  std::vector<int> fired;
+  ASSERT_TRUE(leader
+                  ->Propose(1,
+                            [&]() {
+                              fired.push_back(1);
+                              ASSERT_TRUE(leader
+                                              ->Propose(2,
+                                                        [&]() {
+                                                          fired.push_back(2);
+                                                        })
+                                              .ok());
+                              ASSERT_TRUE(leader
+                                              ->Propose(3,
+                                                        [&]() {
+                                                          fired.push_back(3);
+                                                        })
+                                              .ok());
+                            })
+                  .ok());
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
+}
+
 TEST_F(RaftFixture, QuiescentWithoutTimersAfterCommit) {
   auto g = MakeGroup({0, 1, 2});
   ASSERT_TRUE(g->leader()->Propose(1, []() {}).ok());
