@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -20,6 +21,7 @@
 #include "sim/dsan.h"
 #include "txn/cluster.h"
 #include "txn/topology.h"
+#include "workload/retwis.h"
 #include "workload/ycsbt.h"
 
 namespace natto::harness {
@@ -597,6 +599,63 @@ TEST(ByteIdentityTest, EngineMetricsMatchGolden) {
         << "'";
   }
   EXPECT_EQ(next, want.size()) << "golden lines missing from the run";
+}
+
+// ---------------------------------------------------------------------------
+// Contended-Natto golden
+// ---------------------------------------------------------------------------
+// Retwis at Zipf 0.95 with 30% prioritized transactions and Pareto delay
+// variance, for each Natto variant that changes the server's paths: TS
+// (timestamp order, no LECSF, so commits apply from a Raft callback), PA
+// (priority abort and its completion-estimate suppression), CP (conditional
+// prepare) and RECSF (remote read forwarding). The fault-free YCSB+T cells
+// of the engine-metrics golden never priority-abort, so this is the golden
+// that pins NattoServer's queue, abort and condition paths.
+
+/// Sum of one NattoServer counter over all partitions.
+int64_t NattoServerTotal(const RunStats& s, const std::string& field) {
+  int64_t total = 0;
+  for (const auto& [name, value] : s.metrics.counters) {
+    if (name.rfind("natto.server.p", 0) == 0 && name.size() > field.size() &&
+        name.compare(name.size() - field.size() - 1, std::string::npos,
+                     "." + field) == 0) {
+      total += value;
+    }
+  }
+  return total;
+}
+
+TEST(ByteIdentityTest, ContendedNattoMatchesGolden) {
+  ExperimentConfig config = TinyConfig(250);
+  config.duration = Seconds(4);
+  config.drain = Seconds(4);
+  config.cluster.delay_variance_ratio = 0.35;
+  WorkloadFactory workload = []() {
+    workload::RetwisWorkload::Options o;
+    o.zipf_theta = 0.95;
+    o.high_priority_fraction = 0.3;
+    return std::make_unique<workload::RetwisWorkload>(o);
+  };
+  std::string out;
+  std::map<std::string, int64_t> totals;
+  const char* const kFields[] = {"priority_aborts", "pa_suppressed",
+                                 "conditional_prepares", "cp_satisfied",
+                                 "recsf_forwards", "order_violation_aborts"};
+  for (SystemKind kind : {SystemKind::kNattoTs, SystemKind::kNattoPa,
+                          SystemKind::kNattoCp, SystemKind::kNattoRecsf}) {
+    const System system = MakeSystem(kind);
+    const RunStats stats = RunOnce(config, system, workload, config.seed);
+    out += "== " + system.name + "\n" + RenderRunStats(stats);
+    for (const char* field : kFields) {
+      totals[field] += NattoServerTotal(stats, field);
+    }
+  }
+  // The cells must keep reaching the paths the golden exists to pin.
+  // cp_failed is left out: no short cell found makes it nonzero.
+  for (const char* field : kFields) {
+    EXPECT_GT(totals[field], 0) << field;
+  }
+  CompareOrWriteGolden("natto_contended_tiny.golden", out);
 }
 
 TEST(ByteIdentityTest, SerialParallelAndRerunTablesAreByteIdentical) {
