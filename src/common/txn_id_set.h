@@ -6,65 +6,75 @@
 #include <utility>
 #include <vector>
 
-#include "common/logging.h"
 #include "common/types.h"
 
 namespace natto {
 
 /// Insert-only set of transaction ids, for the tombstones a server or
-/// coordinator keeps of the transactions it already finished. Open
-/// addressing with linear probing over one power-of-two array that doubles
-/// at half load: an insert is one multiply and a short scan, and allocates
-/// only when the array grows (std::unordered_set paid one node per id).
+/// coordinator keeps of the transactions it already finished.
+///
+/// A TxnId is `client << 32 | seq` and each client's seq only grows, so a
+/// node's tombstones form dense runs. Each slot holds one chunk of 64
+/// consecutive ids: the chunk number `id >> 6` and a 64-bit mask of the ids
+/// present. The slots live in one power-of-two array with Fibonacci hashing
+/// of the chunk number and linear probing, doubling at half load. An empty
+/// mask marks a free slot, so every id, ~0 included, can be held, and
+/// growth allocates only per 64 ids at most.
 ///
 /// The API is contains/insert only. Nothing iterates the slots, so the
-/// hash layout can never reach output. ~TxnId{0} marks a free slot and
-/// cannot be inserted; MakeTxnId would need client and sequence number
-/// both at 0xffffffff to produce it.
+/// hash layout can never reach output.
 class TxnIdSet {
  public:
   bool contains(TxnId id) const {
-    return id != kEmpty && !slots_.empty() && slots_[Find(id)] == id;
+    if (slots_.empty()) return false;
+    return (slots_[Find(id >> 6)].bits & Bit(id)) != 0;
   }
 
   /// Adds `id`; returns false when it was already present.
   bool insert(TxnId id) {
-    NATTO_DCHECK(id != kEmpty) << "TxnIdSet cannot hold its empty sentinel";
     if (slots_.empty()) Grow();
-    size_t i = Find(id);
-    if (slots_[i] == id) return false;
-    slots_[i] = id;
-    if (2 * ++size_ > slots_.size()) Grow();
+    Slot& s = slots_[Find(id >> 6)];
+    if ((s.bits & Bit(id)) != 0) return false;
+    const bool new_chunk = s.bits == 0;
+    s.chunk = id >> 6;
+    s.bits |= Bit(id);
+    if (new_chunk && 2 * ++used_ > slots_.size()) Grow();
     return true;
   }
 
  private:
-  static constexpr TxnId kEmpty = ~TxnId{0};
+  struct Slot {
+    uint64_t chunk = 0;
+    uint64_t bits = 0;  // 0: a free slot
+  };
+
   static constexpr int kMinSlotsLog2 = 4;
 
-  /// The slot holding `id`, or the free slot that ends its probe run. The
-  /// load stays at or below one half, so a free slot always exists.
-  size_t Find(TxnId id) const {
+  static uint64_t Bit(TxnId id) { return uint64_t{1} << (id & 63); }
+
+  /// The slot holding `chunk`, or the free slot that ends its probe run.
+  /// The load stays at or below one half, so a free slot always exists.
+  size_t Find(uint64_t chunk) const {
     // Fibonacci hashing: the multiply carries the low (per-client
     // sequence) bits into the top bits the shift keeps.
-    size_t i = static_cast<size_t>((id * 0x9e3779b97f4a7c15ull) >> shift_);
+    size_t i = static_cast<size_t>((chunk * 0x9e3779b97f4a7c15ull) >> shift_);
     const size_t mask = slots_.size() - 1;
-    while (slots_[i] != id && slots_[i] != kEmpty) i = (i + 1) & mask;
+    while (slots_[i].bits != 0 && slots_[i].chunk != chunk) i = (i + 1) & mask;
     return i;
   }
 
   void Grow() {
-    std::vector<TxnId> old = std::move(slots_);
+    std::vector<Slot> old = std::move(slots_);
     const int log2 = old.empty() ? kMinSlotsLog2 : 65 - shift_;
-    slots_.assign(size_t{1} << log2, kEmpty);
+    slots_.assign(size_t{1} << log2, Slot{});
     shift_ = 64 - log2;
-    for (TxnId id : old) {
-      if (id != kEmpty) slots_[Find(id)] = id;
+    for (const Slot& s : old) {
+      if (s.bits != 0) slots_[Find(s.chunk)] = s;
     }
   }
 
-  std::vector<TxnId> slots_;
-  size_t size_ = 0;
+  std::vector<Slot> slots_;
+  size_t used_ = 0;  // slots holding a chunk
   /// 64 - log2(slots_.size()): the hash keeps the product's top bits.
   int shift_ = 64;
 };

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <unordered_map>
 #include <unordered_set>
 
+#include "common/flat_map.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -84,9 +86,12 @@ TEST(WireBytesTest, SizesScaleWithKeys) {
 // TxnIdSet
 // ---------------------------------------------------------------------------
 
-// Random inserts and lookups of ids from 64 clients, checked step by step
-// against std::unordered_set while the table doubles from 16 slots to
-// 32768. Id 0 (client 0, sequence 0) is a real transaction id.
+// Random inserts and lookups, checked step by step against
+// std::unordered_set while the table doubles. The ids mix three shapes:
+// dense runs from 64 clients, the ids on both sides of 64-id chunk edges
+// (low and high sequence numbers, and across the client boundary), and
+// sparse ids drawn from the whole 64-bit range. Id 0 (client 0, sequence
+// 0) is a real transaction id.
 TEST(TxnIdSetTest, MatchesUnorderedSetThroughGrowth) {
   Rng rng(16);
   TxnIdSet set;
@@ -96,11 +101,26 @@ TEST(TxnIdSetTest, MatchesUnorderedSetThroughGrowth) {
   EXPECT_FALSE(set.insert(0));
   EXPECT_TRUE(set.contains(0));
   ref.insert(0);
-  auto random_id = [&rng]() {
-    return MakeTxnId(static_cast<uint32_t>(rng.UniformInt(0, 63)),
-                     static_cast<uint32_t>(rng.UniformInt(0, 399)));
+  auto random_id = [&rng]() -> TxnId {
+    const auto client = static_cast<uint32_t>(rng.UniformInt(0, 63));
+    switch (rng.UniformInt(0, 3)) {
+      case 0:  // dense
+        return MakeTxnId(client, static_cast<uint32_t>(rng.UniformInt(0, 399)));
+      case 1: {  // next to a chunk edge, near the start of the sequence
+        const auto edge = static_cast<uint32_t>(64 * rng.UniformInt(1, 8));
+        return MakeTxnId(client, edge - 2 + static_cast<uint32_t>(
+                                                rng.UniformInt(0, 3)));
+      }
+      case 2: {  // next to the edge between two clients' sequences
+        const TxnId edge = MakeTxnId(client + 1, 0);
+        return edge - 2 + static_cast<TxnId>(rng.UniformInt(0, 3));
+      }
+      default:  // sparse
+        return (static_cast<TxnId>(rng.UniformInt(0, 0x7fffffff)) << 33) ^
+               static_cast<TxnId>(rng.UniformInt(0, 0x7fffffff));
+    }
   };
-  for (int step = 0; step < 30000; ++step) {
+  for (int step = 0; step < 40000; ++step) {
     TxnId id = random_id();
     if (rng.UniformInt(0, 2) != 0) {
       ASSERT_EQ(set.insert(id), ref.insert(id).second) << "step " << step;
@@ -108,32 +128,96 @@ TEST(TxnIdSetTest, MatchesUnorderedSetThroughGrowth) {
       ASSERT_EQ(set.contains(id), ref.contains(id)) << "step " << step;
     }
   }
-  ASSERT_GT(ref.size(), 8192u);  // so the table reached 32768 slots
+  ASSERT_GT(ref.size(), 8192u);  // so the table doubled many times
   for (uint32_t client = 0; client < 65; ++client) {
-    for (uint32_t seq = 0; seq < 401; ++seq) {
+    for (uint32_t seq = 0; seq < 600; ++seq) {
       TxnId id = MakeTxnId(client, seq);
       ASSERT_EQ(set.contains(id), ref.contains(id)) << client << "/" << seq;
     }
+    for (uint32_t back = 1; back <= 3; ++back) {
+      TxnId id = MakeTxnId(client, 0) - back;
+      ASSERT_EQ(set.contains(id), ref.contains(id)) << client << "-" << back;
+    }
   }
+  for (TxnId id : ref) ASSERT_TRUE(set.contains(id)) << id;
 }
 
-// Ids next to the empty sentinel are ordinary ids.
-TEST(TxnIdSetTest, HoldsIdsBesideTheSentinel) {
+// No id is reserved: the all-ones id and its chunk neighbours are ordinary
+// ids, and holding one id of a chunk says nothing of the others.
+TEST(TxnIdSetTest, HoldsEveryIdIncludingAllOnes) {
   TxnIdSet set;
+  const TxnId all_ones = ~TxnId{0};
+  EXPECT_FALSE(set.contains(all_ones));
+  EXPECT_TRUE(set.insert(all_ones));
+  EXPECT_FALSE(set.insert(all_ones));
+  EXPECT_TRUE(set.contains(all_ones));
+  EXPECT_FALSE(set.contains(all_ones - 1));
+  EXPECT_FALSE(set.contains(all_ones - 63));
   const TxnId near[] = {MakeTxnId(0xffffffffu, 0xfffffffeu),
                         MakeTxnId(0xfffffffeu, 0xffffffffu),
                         MakeTxnId(0x7fffffffu, 0xffffffffu)};
   for (TxnId id : near) EXPECT_TRUE(set.insert(id));
   for (TxnId id : near) EXPECT_TRUE(set.contains(id));
-  EXPECT_FALSE(set.contains(~TxnId{0}));
+  EXPECT_TRUE(set.contains(all_ones));
+  EXPECT_FALSE(set.contains(MakeTxnId(0xffffffffu, 0xffffffc0u)));
 }
 
-#ifndef NDEBUG
-TEST(TxnIdSetDeathTest, RejectsTheEmptySentinel) {
-  TxnIdSet set;
-  EXPECT_DEATH(set.insert(~TxnId{0}), "sentinel");
+// ---------------------------------------------------------------------------
+// FlatMap
+// ---------------------------------------------------------------------------
+
+// Random inserts, updates, erases and lookups over a small key range (so
+// probe runs collide and erase shifts members back), checked step by step
+// against std::unordered_map while the table grows and shrinks.
+TEST(FlatMapTest, MatchesUnorderedMapThroughInsertsAndErases) {
+  Rng rng(21);
+  FlatMap<int> map;
+  std::unordered_map<uint64_t, int> ref;
+  for (int step = 0; step < 60000; ++step) {
+    // Phases of growth and of shrinking, over dense and strided keys.
+    const bool growing = (step / 5000) % 2 == 0;
+    const auto key = static_cast<uint64_t>(rng.UniformInt(0, 2999)) *
+                     (step % 2 == 0 ? 1 : 64);
+    const int op = static_cast<int>(rng.UniformInt(0, 9));
+    if (op < (growing ? 5 : 2)) {
+      const int value = static_cast<int>(rng.UniformInt(1, 1000000));
+      map[key] = value;
+      ref[key] = value;
+    } else if (op < 7) {
+      ASSERT_EQ(map.erase(key), ref.erase(key) == 1) << "step " << step;
+    } else {
+      const int* got = map.find(key);
+      auto want = ref.find(key);
+      ASSERT_EQ(got != nullptr, want != ref.end()) << "step " << step;
+      if (got != nullptr) {
+        ASSERT_EQ(*got, want->second) << "step " << step;
+      }
+    }
+    ASSERT_EQ(map.size(), ref.size()) << "step " << step;
+  }
+  for (uint64_t key = 0; key < 3000 * 64; ++key) {
+    const int* got = map.find(key);
+    auto want = ref.find(key);
+    ASSERT_EQ(got != nullptr, want != ref.end()) << key;
+    if (got != nullptr) {
+      ASSERT_EQ(*got, want->second) << key;
+    }
+  }
 }
-#endif
+
+TEST(FlatMapTest, ValueInitializesOnFirstAccess) {
+  FlatMap<uint32_t> map;
+  EXPECT_EQ(map.find(7), nullptr);
+  EXPECT_FALSE(map.erase(7));
+  EXPECT_EQ(map[7], 0u);
+  map[7] += 3;
+  EXPECT_EQ(*map.find(7), 3u);
+  EXPECT_EQ(map[~uint64_t{0}], 0u);
+  EXPECT_EQ(map.size(), 2u);
+  EXPECT_TRUE(map.erase(7));
+  EXPECT_EQ(map.find(7), nullptr);
+  EXPECT_NE(map.find(~uint64_t{0}), nullptr);
+}
 
 // ---------------------------------------------------------------------------
 // Rng
