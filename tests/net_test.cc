@@ -154,19 +154,30 @@ TEST(TransportTest, PacketLossAddsRetransmitPenalty) {
   Transport t(&simulator, &matrix, MakeConstantDelay(), opts, 7);
   NodeId a = t.AddNode(0);
   NodeId b = t.AddNode(1);
-  int delayed = 0;
+  std::vector<SimTime> arrivals;
   const int kMsgs = 500;
   for (int i = 0; i < kMsgs; ++i) {
-    t.Send(a, b, 10, [&simulator, &delayed]() {
-      // Base one-way is 33.5 ms; anything above ~200 ms saw a retransmit.
-      if (simulator.Now() % Seconds(1000) >= 0) {
-      }
-      ++delayed;
+    t.Send(a, b, 10, [&simulator, &arrivals]() {
+      arrivals.push_back(simulator.Now());
     });
   }
   simulator.Run();
-  EXPECT_EQ(delayed, kMsgs);            // everything still delivered
-  EXPECT_GT(t.messages_lost(), 100u);   // ~half the transmissions were lost
+  ASSERT_EQ(arrivals.size(), static_cast<size_t>(kMsgs));  // all delivered
+  EXPECT_GT(t.messages_lost(), 100u);  // ~half the transmissions were lost
+  // VA -> WA: 33.5 ms one way, 67 ms round trip. A frame lost once is
+  // resent after about one RTT, so it arrives at least one RTT after the
+  // base delay; a frame never lost arrives exactly at the base delay.
+  const SimTime base = Micros(33500);
+  const SimDuration rtt = Millis(67);
+  int late = 0;
+  for (SimTime at : arrivals) {
+    ASSERT_GE(at, base) << "arrived before the one-way delay";
+    if (at == base) continue;
+    ++late;
+    EXPECT_GE(at, base + rtt) << "late without a full retransmit penalty";
+  }
+  EXPECT_GE(late, kMsgs * 40 / 100);
+  EXPECT_LE(late, kMsgs * 60 / 100);
 }
 
 TEST(TransportDeathTest, RejectsLossOutsideZeroToOne) {

@@ -10,8 +10,8 @@
 //   nattosim --system=2pl-p --workload=retwis --rate=500 --variance=0.15
 //   nattosim --system=natto-recsf --workload=ycsbt --trace=run.json
 //   nattosim --system=carousel-fast --workload=retwis --timeline
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -104,7 +104,19 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
   return false;
 }
 
+/// Parses all of `text` as a number into `out`. An empty value or trailing
+/// characters are an error that names `flag`.
+template <typename T>
+bool ParseNumber(const char* flag, const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  if (!text.empty() && ec == std::errc() && ptr == end) return true;
+  std::fprintf(stderr, "%s: not a number: '%s'\n", flag, text.c_str());
+  return false;
+}
+
 bool ParseFlags(int argc, char** argv, Flags* flags) {
+  bool ok = true;
   for (int i = 1; i < argc; ++i) {
     std::string v;
     if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
@@ -118,37 +130,37 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (ParseFlag(argv[i], "--matrix", &v)) {
       flags->matrix = v;
     } else if (ParseFlag(argv[i], "--rate", &v)) {
-      flags->rate = std::atof(v.c_str());
+      ok &= ParseNumber("--rate", v, &flags->rate);
     } else if (ParseFlag(argv[i], "--zipf", &v)) {
-      flags->zipf = std::atof(v.c_str());
+      ok &= ParseNumber("--zipf", v, &flags->zipf);
     } else if (ParseFlag(argv[i], "--high", &v)) {
-      flags->high_fraction = std::atof(v.c_str());
+      ok &= ParseNumber("--high", v, &flags->high_fraction);
     } else if (ParseFlag(argv[i], "--medium", &v)) {
-      flags->medium_fraction = std::atof(v.c_str());
+      ok &= ParseNumber("--medium", v, &flags->medium_fraction);
     } else if (ParseFlag(argv[i], "--variance", &v)) {
-      flags->variance = std::atof(v.c_str());
+      ok &= ParseNumber("--variance", v, &flags->variance);
     } else if (ParseFlag(argv[i], "--loss", &v)) {
-      flags->loss = std::atof(v.c_str());
+      ok &= ParseNumber("--loss", v, &flags->loss);
     } else if (ParseFlag(argv[i], "--partitions", &v)) {
-      flags->partitions = std::atoi(v.c_str());
+      ok &= ParseNumber("--partitions", v, &flags->partitions);
     } else if (ParseFlag(argv[i], "--duration", &v)) {
-      flags->duration_s = std::atoi(v.c_str());
+      ok &= ParseNumber("--duration", v, &flags->duration_s);
     } else if (ParseFlag(argv[i], "--repeats", &v)) {
-      flags->repeats = std::atoi(v.c_str());
+      ok &= ParseNumber("--repeats", v, &flags->repeats);
     } else if (ParseFlag(argv[i], "--seed", &v)) {
-      flags->seed = std::strtoull(v.c_str(), nullptr, 10);
+      ok &= ParseNumber("--seed", v, &flags->seed);
     } else if (ParseFlag(argv[i], "--jobs", &v)) {
-      flags->jobs = std::atoi(v.c_str());
+      ok &= ParseNumber("--jobs", v, &flags->jobs);
     } else if (ParseFlag(argv[i], "--trace", &v)) {
       flags->trace_path = v;
     } else if (ParseFlag(argv[i], "--trace-sample", &v)) {
-      flags->trace_sample = std::atoi(v.c_str());
+      ok &= ParseNumber("--trace-sample", v, &flags->trace_sample);
       if (flags->trace_sample < 1) flags->trace_sample = 1;
     } else if (std::strcmp(argv[i], "--timeline") == 0) {
       flags->timeline = true;
     } else if (ParseFlag(argv[i], "--timeline", &v)) {
       flags->timeline = true;
-      flags->timeline_txn = std::strtoull(v.c_str(), nullptr, 10);
+      ok &= ParseNumber("--timeline", v, &flags->timeline_txn);
     } else if (bench::ParseDsanArg(argv[i], &flags->dsan)) {
       // handled
     } else {
@@ -156,7 +168,7 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       return false;
     }
   }
-  return true;
+  return ok;
 }
 
 bool SystemFromName(const std::string& name, SystemKind* out) {
