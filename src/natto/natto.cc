@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "common/logging.h"
@@ -99,12 +100,6 @@ NattoServer::Stats NattoServer::stats() const {
 }
 
 void NattoServer::HandleReadPrepare(const NattoWireTxn& txn) {
-  const txn::Topology& topo = engine_->cluster()->topology();
-  TxnState st;
-  st.txn = txn;
-  st.local_reads = topo.LocalKeys(txn.read_set, partition_);
-  st.local_writes = topo.LocalKeys(txn.write_set, partition_);
-
   if (finished_.contains(txn.id)) {
     stats_.stale_retries->Inc();
     if (obs::Tracer* tr = engine_->cluster()->tracer()) {
@@ -115,7 +110,10 @@ void NattoServer::HandleReadPrepare(const NattoWireTxn& txn) {
              {.id = txn.id, .cause = obs::AbortCause::kStaleRetry});
     return;
   }
-  Enqueue(std::move(st));
+  const txn::Topology& topo = engine_->cluster()->topology();
+  Enqueue(TxnState{.txn = txn,
+                   .local_reads = topo.LocalKeys(txn.read_set, partition_),
+                   .local_writes = topo.LocalKeys(txn.write_set, partition_)});
 }
 
 void NattoServer::Enqueue(TxnState st) {
@@ -151,7 +149,7 @@ void NattoServer::Enqueue(TxnState st) {
   // Priority-abort pass (Sec 3.3.1), generalized to multiple levels: a
   // strictly higher level preempts lower ones in both directions. Both
   // checks visit only the conflicting transactions, taken from the key
-  // index in queue order (all of queue_ before waiting_), so victims,
+  // index in queue order (all queued before all waiting), so victims,
   // suppression counts and messages match a walk of the whole stage.
   if (engine_->options().priority_abort) {
     const OrderKey my_key{w.ts, w.id};
@@ -159,32 +157,29 @@ void NattoServer::Enqueue(TxnState st) {
     const bool estimate = engine_->options().pa_completion_estimate;
     if (my_level > 0) {
       // Abort conflicting queued lower-level transactions ordered before us.
-      index_.Conflicting(Stage::kQueued, st.local_reads, st.local_writes, 0,
+      table_.Conflicting(Stage::kQueued, st.local_reads, st.local_writes, 0,
                          my_level - 1, &candidates_);
       for (const OrderKey& key : candidates_) {
         if (key >= my_key) break;
-        auto it = queue_.find(key);
-        if (estimate && LowWillFinishInTime(it->second, st)) {
+        if (estimate &&
+            LowWillFinishInTime(*table_.Find(Stage::kQueued, key.second),
+                                st)) {
           stats_.pa_suppressed->Inc();
           continue;
         }
-        TxnState victim = std::move(it->second);
-        index_.Remove(key, victim.local_reads, victim.local_writes);
-        queue_.erase(it);
-        PriorityAbort(victim);
+        PriorityAbort(*table_.Take(key.second));
       }
     }
     // A transaction ordered before a conflicting queued or waiting
     // higher-level transaction is aborted on arrival.
-    auto blocked_by_higher = [&](Stage stage,
-                                 const std::map<OrderKey, TxnState>& m) {
-      index_.Conflicting(stage, st.local_reads, st.local_writes, my_level + 1,
+    auto blocked_by_higher = [&](Stage stage) {
+      table_.Conflicting(stage, st.local_reads, st.local_writes, my_level + 1,
                          std::numeric_limits<int>::max(), &candidates_);
       for (auto key = std::upper_bound(candidates_.begin(), candidates_.end(),
                                        my_key);
            key != candidates_.end(); ++key) {
-        const TxnState& other = m.find(*key)->second;
-        if (estimate && LowWillFinishInTime(st, other)) {
+        if (estimate &&
+            LowWillFinishInTime(st, *table_.Find(stage, key->second))) {
           stats_.pa_suppressed->Inc();
           continue;
         }
@@ -192,35 +187,29 @@ void NattoServer::Enqueue(TxnState st) {
       }
       return false;
     };
-    if (blocked_by_higher(Stage::kQueued, queue_) ||
-        blocked_by_higher(Stage::kWaiting, waiting_)) {
+    if (blocked_by_higher(Stage::kQueued) ||
+        blocked_by_higher(Stage::kWaiting)) {
       PriorityAbort(st);
       return;
     }
   }
 
-  OrderKey key{w.ts, w.id};
   if (obs::Tracer* tr = engine_->cluster()->tracer()) {
     tr->SpanBegin(w.id, "queue", partition_, TrueNow());
   }
-  auto [it, inserted] = queue_.emplace(key, std::move(st));
-  if (inserted) {
-    index_.Add(Stage::kQueued, key, txn::PriorityLevel(w.priority),
-               it->second.local_reads, it->second.local_writes);
-  }
-  if (now >= w.ts) {
+  const SimTime ts = w.ts;
+  table_.Insert(Stage::kQueued, std::move(st));
+  if (now >= ts) {
     DrainReady();
   } else {
-    AtLocalTime(w.ts, [this]() { DrainReady(); });
+    AtLocalTime(ts, [this]() { DrainReady(); });
   }
 }
 
 void NattoServer::DrainReady() {
-  while (!queue_.empty() && queue_.begin()->first.first <= LocalNow()) {
-    auto head = queue_.begin();
-    TxnState st = std::move(head->second);
-    index_.Remove(head->first, st.local_reads, st.local_writes);
-    queue_.erase(head);
+  while (const TxnState* head = table_.First(Stage::kQueued)) {
+    if (head->txn.ts > LocalNow()) return;
+    TxnState st = *table_.Take(head->txn.id);
     if (obs::Tracer* tr = engine_->cluster()->tracer()) {
       tr->SpanEnd(st.txn.id, "queue", partition_, TrueNow());
     }
@@ -230,13 +219,14 @@ void NattoServer::DrainReady() {
 
 void NattoServer::ProcessTxn(TxnState st) {
   // Conflicts with waiting (already processed, lock-blocked) transactions.
-  const bool conflicts_waiting = index_.AnyConflictingBefore(
-      Stage::kWaiting, st.local_reads, st.local_writes, kQueueEnd);
+  const bool conflicts_waiting =
+      table_.AnyConflicting(Stage::kWaiting, st.local_reads, st.local_writes);
 
   if (!txn::IsPrioritized(st.txn.priority)) {
     // Carousel-style OCC for base-level transactions.
     if (conflicts_waiting ||
-        prepared_.HasConflict(st.local_reads, st.local_writes)) {
+        table_.AnyConflicting(Stage::kPrepared, st.local_reads,
+                              st.local_writes)) {
       stats_.occ_aborts->Inc();
       if (obs::Tracer* tr = engine_->cluster()->tracer()) {
         tr->Instant(st.txn.id, "occ_conflict", partition_, TrueNow());
@@ -256,52 +246,44 @@ void NattoServer::ProcessTxn(TxnState st) {
     Wait(std::move(st));
     return;
   }
-  std::vector<TxnId> blockers =
-      prepared_.Conflicting(st.local_reads, st.local_writes);
-  if (blockers.empty()) {
+  table_.Conflicting(Stage::kPrepared, st.local_reads, st.local_writes, 0,
+                     std::numeric_limits<int>::max(), &candidates_);
+  if (candidates_.empty()) {
     PrepareNow(std::move(st), /*conditional=*/false, 0);
     return;
   }
+  const TxnState* blocker =
+      candidates_.size() == 1
+          ? table_.Find(Stage::kPrepared, candidates_[0].second)
+          : nullptr;
 
   // Conditional prepare (Sec 3.3.2): a single low-priority prepared blocker
   // that another common participant is expected to priority-abort.
-  if (engine_->options().conditional_prepare && blockers.size() == 1) {
-    auto bit = prepared_txns_.find(blockers[0]);
-    if (bit != prepared_txns_.end() &&
-        txn::PriorityLevel(bit->second.txn.priority) <
-            txn::PriorityLevel(st.txn.priority) &&
-        !bit->second.conditional &&
-        EstimatePriorityAbortElsewhere(st, bit->second)) {
-      PrepareNow(std::move(st), /*conditional=*/true, blockers[0]);
-      return;
-    }
+  if (engine_->options().conditional_prepare && blocker != nullptr &&
+      txn::PriorityLevel(blocker->txn.priority) <
+          txn::PriorityLevel(st.txn.priority) &&
+      !blocker->conditional && EstimatePriorityAbortElsewhere(st, *blocker)) {
+    PrepareNow(std::move(st), /*conditional=*/true, blocker->txn.id);
+    return;
   }
 
   // Blocked: buffer in timestamp order; RECSF forwards the reads.
-  if (engine_->options().recsf && blockers.size() == 1) {
-    auto bit = prepared_txns_.find(blockers[0]);
-    if (bit != prepared_txns_.end()) {
-      ForwardReadsRemote(st, bit->second);
-    }
+  if (engine_->options().recsf && blocker != nullptr) {
+    ForwardReadsRemote(st, *blocker);
   }
   Wait(std::move(st));
 }
 
 void NattoServer::Wait(TxnState st) {
-  const OrderKey key{st.txn.ts, st.txn.id};
   if (obs::Tracer* tr = engine_->cluster()->tracer()) {
     tr->SpanBegin(st.txn.id, "blocked", partition_, TrueNow());
   }
-  auto [it, inserted] = waiting_.emplace(key, std::move(st));
-  if (!inserted) return;
-  index_.Add(Stage::kWaiting, key,
-             txn::PriorityLevel(it->second.txn.priority),
-             it->second.local_reads, it->second.local_writes);
-  rescan_.push_back(key);
+  rescan_.emplace_back(st.txn.ts, st.txn.id);
+  table_.Insert(Stage::kWaiting, std::move(st));
 }
 
 void NattoServer::MarkRescan(const TxnState& gone) {
-  index_.Conflicting(Stage::kWaiting, gone.local_reads, gone.local_writes, 0,
+  table_.Conflicting(Stage::kWaiting, gone.local_reads, gone.local_writes, 0,
                      std::numeric_limits<int>::max(), &candidates_);
   rescan_.insert(rescan_.end(), candidates_.begin(), candidates_.end());
 }
@@ -313,7 +295,6 @@ void NattoServer::PrepareNow(TxnState st, bool conditional,
   st.conditional = conditional;
   st.condition_on = condition_on;
 
-  prepared_.Add(id, st.local_reads, st.local_writes);
   for (Key k : st.local_reads) {
     SimTime& t = key_order_ts_[k];
     t = std::max(t, st.txn.ts);
@@ -333,9 +314,7 @@ void NattoServer::PrepareNow(TxnState st, bool conditional,
 
   int version = st.read_version;
   net::NodeId coord = st.txn.coordinator;
-  prepared_txns_[id] = std::move(st);
-
-  ServeReads(prepared_txns_[id]);
+  ServeReads(table_.Insert(Stage::kPrepared, std::move(st)));
 
   // Replicate the prepare record, then vote. The vote is built when the
   // replication completes so it reflects the *current* conditional state:
@@ -346,14 +325,14 @@ void NattoServer::PrepareNow(TxnState st, bool conditional,
         if (obs::Tracer* tr = engine_->cluster()->tracer()) {
           tr->SpanEnd(id, span_name, partition_, TrueNow());
         }
-        auto it = prepared_txns_.find(id);
-        if (it == prepared_txns_.end()) return;  // aborted or CP discarded
-        if (it->second.read_version != version) return;  // superseded
+        const TxnState* st = table_.Find(Stage::kPrepared, id);
+        if (st == nullptr) return;  // aborted or CP discarded
+        if (st->read_version != version) return;  // superseded
         SendVote(coord, {.id = id,
                          .ok = true,
                          .read_version = version,
-                         .conditional = it->second.conditional,
-                         .condition_on = it->second.condition_on});
+                         .conditional = st->conditional,
+                         .condition_on = st->condition_on});
       },
       [this, id, version, coord, span_name](bool timed_out) {
         // Prepare record lost to a leader failure: vote no; the
@@ -361,9 +340,8 @@ void NattoServer::PrepareNow(TxnState st, bool conditional,
         if (obs::Tracer* tr = engine_->cluster()->tracer()) {
           tr->SpanEnd(id, span_name, partition_, TrueNow());
         }
-        auto it = prepared_txns_.find(id);
-        if (it == prepared_txns_.end()) return;
-        if (it->second.read_version != version) return;
+        const TxnState* st = table_.Find(Stage::kPrepared, id);
+        if (st == nullptr || st->read_version != version) return;
         obs::AbortCause cause = timed_out ? obs::AbortCause::kLeaderFailover
                                           : obs::AbortCause::kReplicationFailed;
         SendVote(coord, {.id = id, .read_version = version, .cause = cause});
@@ -405,16 +383,12 @@ void NattoServer::PriorityAbort(const TxnState& victim) {
 void NattoServer::HandleCommit(TxnId id,
                                std::vector<std::pair<Key, Value>> writes) {
   if (finished_.contains(id)) return;
-  auto it = prepared_txns_.find(id);
-  if (it == prepared_txns_.end()) return;
+  if (table_.Find(Stage::kPrepared, id) == nullptr) return;
 
   auto complete = [this, id](const std::vector<std::pair<Key, Value>>& w) {
     for (const auto& [k, v] : w) kv_.Apply(k, v, id);
-    auto pt = prepared_txns_.find(id);
-    if (pt != prepared_txns_.end()) {
-      MarkRescan(pt->second);
-      prepared_.Remove(id);
-      prepared_txns_.erase(pt);
+    if (table_.Find(Stage::kPrepared, id) != nullptr) {
+      MarkRescan(*table_.Take(id));
     }
     finished_.insert(id);
     ResolveConditions(id, /*low_aborted=*/false);
@@ -439,21 +413,12 @@ void NattoServer::HandleCommit(TxnId id,
 void NattoServer::HandleAbort(TxnId id) {
   if (finished_.contains(id)) return;
   finished_.insert(id);
-  // Remove from whichever stage it reached.
-  if (const QueueIndex::Where* where = index_.Find(id)) {
-    const OrderKey key{where->ts, id};
-    const bool waiting = where->stage == Stage::kWaiting;
-    std::map<OrderKey, TxnState>& stage = waiting ? waiting_ : queue_;
-    auto it = stage.find(key);
-    index_.Remove(key, it->second.local_reads, it->second.local_writes);
-    if (waiting) MarkRescan(it->second);
-    stage.erase(it);
-  }
-  auto pt = prepared_txns_.find(id);
-  if (pt != prepared_txns_.end()) {
-    MarkRescan(pt->second);
-    prepared_.Remove(id);
-    prepared_txns_.erase(pt);
+  // Remove from whichever stage it reached; only a queued transaction
+  // blocks no waiter.
+  Stage from{};
+  if (std::optional<TxnState> gone = table_.Take(id, &from);
+      gone && from != Stage::kQueued) {
+    MarkRescan(*gone);
   }
   ResolveConditions(id, /*low_aborted=*/true);
   RescanWaiting();
@@ -473,19 +438,17 @@ void NattoServer::ResolveConditions(TxnId low, bool low_aborted) {
   }
   std::sort(conditioned.begin(), conditioned.end());
   for (TxnId id : conditioned) {
-    auto it = prepared_txns_.find(id);
-    if (it == prepared_txns_.end() || !it->second.conditional ||
-        it->second.condition_on != low) {
+    TxnState* st = table_.Find(Stage::kPrepared, id);
+    if (st == nullptr || !st->conditional || st->condition_on != low) {
       continue;  // aborted or committed while conditional
     }
-    TxnState& st = it->second;
-    net::NodeId coord = st.txn.coordinator;
+    net::NodeId coord = st->txn.coordinator;
     int partition = partition_;
     if (low_aborted) {
       // Condition satisfied: the conditional prepare becomes firm.
       stats_.cp_satisfied->Inc();
-      st.conditional = false;
-      st.condition_on = 0;
+      st->conditional = false;
+      st->condition_on = 0;
       auto* co = engine_->coordinator_by_node(coord);
       SendTo(coord, kMessageHeaderBytes, [co, id, partition]() {
         co->HandleConditionResolved(id, partition, /*satisfied=*/true);
@@ -495,10 +458,8 @@ void NattoServer::ResolveConditions(TxnId low, bool low_aborted) {
       // normal path (the blocker just committed, so the retry will read its
       // writes once applied).
       stats_.cp_failed->Inc();
-      TxnState moved = std::move(st);
+      TxnState moved = *table_.Take(id);
       MarkRescan(moved);
-      prepared_.Remove(id);
-      prepared_txns_.erase(it);
       moved.conditional = false;
       moved.condition_on = 0;
       auto* co = engine_->coordinator_by_node(coord);
@@ -511,12 +472,12 @@ void NattoServer::ResolveConditions(TxnId low, bool low_aborted) {
 }
 
 // Restarting after each wake-up, as a scan of every waiter, cannot change
-// the result of one ordered pass: a wake-up only grows prepared_ and
-// removes the woken waiter, so a waiter the pass already found blocked
+// the result of one ordered pass: a wake-up only grows the prepared stage
+// and removes the woken waiter, so a waiter the pass already found blocked
 // stays blocked. A waiter left blocked by a pass stays blocked until a
 // conflicting waiter or prepared transaction leaves, and MarkRescan marks
 // it then; new waiters are marked by Wait. So the pass visits only marked
-// waiters and wakes what a scan of all of waiting_ would wake, in the same
+// waiters and wakes what a scan of every waiter would wake, in the same
 // order.
 void NattoServer::RescanWaiting() {
   std::sort(rescan_.begin(), rescan_.end());
@@ -524,17 +485,15 @@ void NattoServer::RescanWaiting() {
   const size_t marked = rescan_.size();
   for (size_t i = 0; i < marked; ++i) {
     const OrderKey key = rescan_[i];
-    auto it = waiting_.find(key);
-    if (it == waiting_.end()) continue;  // woken or aborted since marked
-    TxnState& st = it->second;
-    if (index_.AnyConflictingBefore(Stage::kWaiting, st.local_reads,
-                                    st.local_writes, key) ||
-        prepared_.HasConflict(st.local_reads, st.local_writes)) {
+    const TxnState* st = table_.Find(Stage::kWaiting, key.second);
+    if (st == nullptr) continue;  // woken or aborted since marked
+    if (table_.AnyConflicting(Stage::kWaiting, st->local_reads,
+                              st->local_writes, key) ||
+        table_.AnyConflicting(Stage::kPrepared, st->local_reads,
+                              st->local_writes)) {
       continue;
     }
-    TxnState ready = std::move(st);
-    index_.Remove(key, ready.local_reads, ready.local_writes);
-    waiting_.erase(it);
+    TxnState ready = *table_.Take(key.second);
     if (obs::Tracer* tr = engine_->cluster()->tracer()) {
       tr->SpanEnd(ready.txn.id, "blocked", partition_, TrueNow());
     }

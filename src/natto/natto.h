@@ -1,21 +1,19 @@
 #ifndef NATTO_NATTO_NATTO_H_
 #define NATTO_NATTO_NATTO_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/txn_id_set.h"
-#include "natto/queue_index.h"
+#include "natto/txn_table.h"
 #include "net/node.h"
 #include "net/prober.h"
 #include "obs/abort_cause.h"
 #include "obs/metrics.h"
 #include "raft/raft.h"
 #include "store/kv_store.h"
-#include "store/prepared_set.h"
 #include "txn/cluster.h"
 #include "txn/engine_core.h"
 #include "txn/transaction.h"
@@ -49,21 +47,6 @@ struct NattoOptions {
   static NattoOptions Pa();
   static NattoOptions Cp();
   static NattoOptions Recsf();
-};
-
-/// Wire form of a Natto read-and-prepare request. Beyond Carousel, it
-/// carries the execution timestamp and the estimated arrival time at every
-/// participant (used by conditional prepare, Sec 3.3.2).
-struct NattoWireTxn {
-  TxnId id = 0;
-  txn::Priority priority = txn::Priority::kLow;
-  std::vector<Key> read_set;
-  std::vector<Key> write_set;
-  SimTime ts = 0;  // execution timestamp (estimated arrival at furthest)
-  std::vector<std::pair<int, SimTime>> est_arrivals;  // partition -> est
-  net::NodeId coordinator = -1;
-  net::NodeId client = -1;
-  int coordinator_site = 0;
 };
 
 class NattoEngine;
@@ -111,17 +94,7 @@ class NattoServer : public net::Node {
   Stats stats() const;
 
  private:
-  struct TxnState {
-    NattoWireTxn txn;
-    std::vector<Key> local_reads;
-    std::vector<Key> local_writes;
-    int read_version = 0;
-    // Conditional prepare bookkeeping.
-    bool conditional = false;
-    TxnId condition_on = 0;
-  };
-
-  using Stage = QueueIndex::Stage;
+  using Stage = TxnTable::Stage;
 
   /// Inserts into the queue, runs the priority-abort pass and the
   /// late-arrival ordering check, and schedules processing.
@@ -139,11 +112,12 @@ class NattoServer : public net::Node {
   /// Priority-aborts a queued low-priority transaction.
   void PriorityAbort(const TxnState& victim);
 
-  /// Moves `st` into waiting_ and marks it for the next RescanWaiting.
+  /// Moves `st` into the waiting stage and marks it for the next
+  /// RescanWaiting.
   void Wait(TxnState st);
 
   /// Marks for the next RescanWaiting the waiters that `gone`, which just
-  /// left waiting_ or prepared_, may have blocked.
+  /// left the waiting or prepared stage, may have blocked.
   void MarkRescan(const TxnState& gone);
 
   /// Wakes, in queue order, each marked waiter that no earlier waiter and
@@ -170,15 +144,11 @@ class NattoServer : public net::Node {
   int partition_;
   raft::PayloadIdAllocator* payload_ids_;
   store::KvStore kv_;
-  store::PreparedSet prepared_;
 
-  std::map<OrderKey, TxnState> queue_;    // received, not yet processed
-  std::map<OrderKey, TxnState> waiting_;  // processed high-pri, blocked
-  std::map<TxnId, TxnState> prepared_txns_;
-  /// Ids, stages and per-key lists of queue_ and waiting_.
-  QueueIndex index_;
+  /// Every queued, waiting and prepared transaction.
+  TxnTable table_;
   /// (condition_on, id) of each conditional prepare. Entries whose
-  /// transaction left prepared_txns_ are dropped when condition_on
+  /// transaction left the prepared stage are dropped when condition_on
   /// resolves.
   std::vector<std::pair<TxnId, TxnId>> conditioned_;
   /// Waiters RescanWaiting must examine: every other waiter is blocked.

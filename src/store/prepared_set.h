@@ -6,17 +6,14 @@
 #include <vector>
 
 #include "common/types.h"
+#include "store/key_uses.h"
 
 namespace natto::store {
 
 /// Tracks prepared transactions' read/write key footprints for OCC conflict
-/// checks (Carousel, TAPIR, Natto low-priority path). Two transactions
-/// conflict iff one writes a key the other reads or writes.
-///
-/// Each key keeps its prepared readers and writers in flat, unordered id
-/// lists, one entry per time a footprint lists the key. Neither order nor
-/// repeats are observable: HasConflict tests emptiness and Conflicting
-/// sorts and dedupes.
+/// checks (Carousel, TAPIR). Two transactions conflict iff one writes a key
+/// the other reads or writes; the per-key lists and the rule live in
+/// KeyUses.
 class PreparedSet {
  public:
   /// Registers a prepared transaction's footprint on this partition.
@@ -45,13 +42,14 @@ class PreparedSet {
     std::vector<Key> writes;
   };
 
-  struct KeyUse {
-    std::vector<TxnId> readers;
-    std::vector<TxnId> writers;
+  struct Use {
+    TxnId txn;
+    bool writes;
+    bool operator==(const Use&) const = default;
   };
 
   std::unordered_map<TxnId, Footprint> footprints_;
-  std::unordered_map<Key, KeyUse> by_key_;
+  KeyUses<Use> uses_;
 };
 
 }  // namespace natto::store

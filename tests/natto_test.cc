@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <iterator>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
 #include "engine_test_util.h"
 #include "natto/natto.h"
-#include "natto/queue_index.h"
+#include "natto/txn_table.h"
 
 namespace natto::core {
 namespace {
@@ -20,20 +21,21 @@ using testutil::ScheduleTxn;
 // PR(2), NSW(3), SG(4); partition p's leader lives at site p.
 
 // ---------------------------------------------------------------------------
-// QueueIndex
+// TxnTable
 // ---------------------------------------------------------------------------
 
-// Random adds, removes and queries over a small keyspace (so keys are
+// Random inserts, takes and queries over a small keyspace (so keys are
 // shared, repeated within a footprint, and read and written by the same
 // transaction), checked step by step against a brute-force model: a map
-// walked in queue order with the pairwise conflict test NattoServer used
-// before the index.
-TEST(QueueIndexTest, MatchesWalkOfEveryTransaction) {
-  using Stage = QueueIndex::Stage;
+// walked in queue order with a pairwise conflict test.
+TEST(TxnTableTest, MatchesWalkOfEveryTransaction) {
+  using Stage = TxnTable::Stage;
+  const Stage kStages[] = {Stage::kQueued, Stage::kWaiting, Stage::kPrepared};
   struct Held {
     Stage stage;
     int level;
     std::vector<Key> reads, writes;
+    int tag;  // stored as read_version, to tell states apart
   };
   auto overlaps = [](const std::vector<Key>& a, const std::vector<Key>& b) {
     for (Key x : a) {
@@ -54,59 +56,89 @@ TEST(QueueIndexTest, MatchesWalkOfEveryTransaction) {
     for (Key& k : keys) k = static_cast<Key>(rng.UniformInt(0, 24));
     return keys;
   };
-  QueueIndex index;
+  auto random_stage = [&]() { return kStages[rng.UniformInt(0, 2)]; };
+  TxnTable table;
   std::map<OrderKey, Held> model;
   std::vector<OrderKey> got;
   TxnId next_id = 0;
-  for (int step = 0; step < 20000; ++step) {
+  for (int step = 0; step < 30000; ++step) {
     const int op = static_cast<int>(rng.UniformInt(0, 9));
     if (op < 4 || model.empty()) {
       const OrderKey order{rng.UniformInt(0, 50), next_id++};
-      Held h{rng.UniformInt(0, 1) == 0 ? Stage::kQueued : Stage::kWaiting,
-             static_cast<int>(rng.UniformInt(0, 2)), footprint(), footprint()};
-      index.Add(h.stage, order, h.level, h.reads, h.writes);
+      Held h{random_stage(), static_cast<int>(rng.UniformInt(0, 2)),
+             footprint(), footprint(), step};
+      TxnState st;
+      st.txn.id = order.second;
+      st.txn.ts = order.first;
+      st.txn.priority = static_cast<txn::Priority>(h.level);
+      st.local_reads = h.reads;
+      st.local_writes = h.writes;
+      st.read_version = h.tag;
+      const TxnState& stored = table.Insert(h.stage, std::move(st));
+      ASSERT_EQ(stored.read_version, h.tag);
+      ASSERT_EQ(table.Find(h.stage, order.second), &stored);
       model.emplace(order, std::move(h));
     } else if (op < 7) {
       auto it = model.begin();
       const auto held = static_cast<int64_t>(model.size());
       std::advance(it, rng.UniformInt(0, held - 1));
-      index.Remove(it->first, it->second.reads, it->second.writes);
+      Stage from = Stage::kQueued;
+      std::optional<TxnState> taken = table.Take(it->first.second, &from);
+      ASSERT_TRUE(taken.has_value()) << "step " << step;
+      EXPECT_EQ(from, it->second.stage);
+      EXPECT_EQ(taken->txn.id, it->first.second);
+      EXPECT_EQ(taken->txn.ts, it->first.first);
+      EXPECT_EQ(taken->read_version, it->second.tag);
+      EXPECT_EQ(taken->local_reads, it->second.reads);
+      EXPECT_EQ(taken->local_writes, it->second.writes);
+      ASSERT_FALSE(table.Take(it->first.second).has_value());
       model.erase(it);
     } else {
       const std::vector<Key> r = footprint(), w = footprint();
-      const Stage stage =
-          rng.UniformInt(0, 1) == 0 ? Stage::kQueued : Stage::kWaiting;
+      const Stage stage = random_stage();
       const OrderKey before{rng.UniformInt(0, 50), rng.UniformInt(0, 500)};
       const int min_level = static_cast<int>(rng.UniformInt(0, 2));
       const int max_level = static_cast<int>(rng.UniformInt(min_level, 2));
       std::vector<OrderKey> want;
-      bool want_before = false;
+      bool want_before = false, want_any = false;
       for (const auto& [order, h] : model) {
         if (h.stage != stage || !conflicts(r, w, h)) continue;
+        want_any = true;
         want_before = want_before || order < before;
         if (h.level >= min_level && h.level <= max_level) want.push_back(order);
       }
-      index.Conflicting(stage, r, w, min_level, max_level, &got);
+      table.Conflicting(stage, r, w, min_level, max_level, &got);
       ASSERT_EQ(got, want) << "step " << step;
-      ASSERT_EQ(index.AnyConflictingBefore(stage, r, w, before), want_before)
+      ASSERT_EQ(table.AnyConflicting(stage, r, w, before), want_before)
+          << "step " << step;
+      ASSERT_EQ(table.AnyConflicting(stage, r, w), want_any)
           << "step " << step;
     }
-    // Find agrees for a recent id, held or gone.
+    // Find agrees in every stage for a recent id, held or gone.
     const auto back = rng.UniformInt(0, std::min<int64_t>(20, next_id - 1));
     const TxnId probe = next_id - 1 - static_cast<TxnId>(back);
-    const QueueIndex::Where* where = index.Find(probe);
     const Held* held = nullptr;
-    SimTime ts = 0;
     for (const auto& [order, h] : model) {
-      if (order.second == probe) {
-        held = &h;
-        ts = order.first;
+      if (order.second == probe) held = &h;
+    }
+    for (Stage stage : kStages) {
+      const TxnState* found = table.Find(stage, probe);
+      const bool want = held != nullptr && held->stage == stage;
+      ASSERT_EQ(found != nullptr, want) << "step " << step;
+      if (found != nullptr) {
+        ASSERT_EQ(found->read_version, held->tag);
       }
     }
-    ASSERT_EQ(where != nullptr, held != nullptr) << "step " << step;
-    if (where != nullptr) {
-      ASSERT_EQ(where->ts, ts);
-      ASSERT_EQ(where->stage, held->stage);
+    // Each stage's first transaction is its least held order.
+    for (Stage stage : kStages) {
+      auto first = std::find_if(model.begin(), model.end(), [&](auto& m) {
+        return m.second.stage == stage;
+      });
+      const TxnState* head = table.First(stage);
+      ASSERT_EQ(head != nullptr, first != model.end()) << "step " << step;
+      if (head != nullptr) {
+        ASSERT_EQ((OrderKey{head->txn.ts, head->txn.id}), first->first);
+      }
     }
   }
 }
@@ -349,6 +381,57 @@ TEST(NattoTest, CpIsFasterThanWaiting) {
     (cp ? with_cp : without_cp) = high->latency_ms();
   }
   EXPECT_LT(with_cp, without_cp);
+}
+
+// A conditional prepare whose condition fails: the blocker commits, so the
+// server moves the high transaction from prepared back to waiting, and it
+// prepares again once the blocker's writes are applied.
+//
+// Sites 0-4 lead partitions 0-4 (RTTs in ms below). Low from site 0 on
+// {1,2} gets ts = +50 ms (one-way 0->2); high from site 1 on {1,2,4}, sent
+// at +10 ms, gets ts = +130 ms (one-way 1->4). At site 1 the high one
+// arrives while low is queued, but low's commit is expected there by
+// +109 ms (votes by +54, plus one-way 0->1), so the priority abort is
+// suppressed. At site 2, where low is prepared, the high one predicts that
+// site 1 priority-aborts low: its estimate adds the one-way 0->2 instead
+// (+154 ms, after high's timestamp). So it prepares conditionally, low
+// commits, and the condition fails.
+TEST(NattoTest, FailedConditionalPrepareWaitsAndReadsTheBlocker) {
+  net::LatencyMatrix matrix({"s0", "s1", "s2", "s3", "s4"});
+  matrix.SetRtt(0, 1, Millis(10));
+  matrix.SetRtt(0, 2, Millis(100));
+  matrix.SetRtt(0, 3, Millis(100));
+  matrix.SetRtt(0, 4, Millis(200));
+  matrix.SetRtt(1, 2, Millis(100));
+  matrix.SetRtt(1, 3, Millis(4));
+  matrix.SetRtt(1, 4, Millis(240));
+  matrix.SetRtt(2, 3, Millis(4));
+  matrix.SetRtt(2, 4, Millis(200));
+  matrix.SetRtt(3, 4, Millis(200));
+  auto cluster = MakeCluster(1, {}, std::move(matrix));
+  NattoEngine engine(cluster.get(), NattoOptions::Recsf());
+  auto low = ScheduleTxn(cluster.get(), &engine, Seconds(2), MakeTxnId(1, 1),
+                         txn::Priority::kLow, {1, 2}, {1, 2}, 0);
+  auto high = ScheduleTxn(cluster.get(), &engine, Seconds(2) + Millis(10),
+                          MakeTxnId(2, 1), txn::Priority::kHigh, {1, 2, 4},
+                          {1, 2, 4}, 1);
+  cluster->simulator()->RunUntil(Seconds(8));
+  NattoServer::Stats stats = engine.TotalStats();
+  EXPECT_EQ(stats.pa_suppressed, 1u);
+  EXPECT_EQ(stats.priority_aborts, 0u);
+  EXPECT_EQ(stats.conditional_prepares, 1u);
+  EXPECT_EQ(stats.cp_satisfied, 0u);
+  EXPECT_EQ(stats.cp_failed, 1u);
+  ASSERT_TRUE(low->committed());
+  ASSERT_TRUE(high->committed());
+  for (const auto& r : high->result->reads) {
+    if (r.key != 4) {
+      EXPECT_EQ(r.value, 1) << "key " << r.key;
+    }
+  }
+  EXPECT_EQ(engine.DebugValue(1), 2);
+  EXPECT_EQ(engine.DebugValue(2), 2);
+  EXPECT_EQ(engine.DebugValue(4), 1);
 }
 
 // --- ECSF (Figs 5, 6) --------------------------------------------------------

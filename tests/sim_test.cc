@@ -57,12 +57,20 @@ TEST(SimulatorTest, NegativeDelayClampsToNow) {
 
 TEST(SimulatorTest, PastAbsoluteTimeClampsToNow) {
   Simulator s;
+#ifdef NDEBUG
+  // Release semantics: the past time is clamped to Now().
   SimTime fired_at = -1;
   s.ScheduleAt(Millis(10), [&]() {
     s.ScheduleAt(Millis(1), [&]() { fired_at = s.Now(); });
   });
   s.Run();
   EXPECT_EQ(fired_at, Millis(10));
+#else
+  // Debug semantics: scheduling in the past is a programming error.
+  s.ScheduleAt(Millis(10), []() {});
+  s.Run();
+  EXPECT_DEATH(s.ScheduleAt(Millis(1), []() {}), "ScheduleAt in the past");
+#endif
 }
 
 TEST(SimulatorTest, EventsCanScheduleMoreEvents) {

@@ -5,7 +5,7 @@
 //
 // Examples:
 //   nattosim --system=natto-recsf --workload=ycsbt --rate=350
-//   nattosim --system=carousel-basic --workload=smallbank --rate=1000 \
+//   nattosim --system=carousel-basic --workload=smallbank --rate=1000
 //            --matrix=azure --repeats=3
 //   nattosim --system=2pl-p --workload=retwis --rate=500 --variance=0.15
 //   nattosim --system=natto-recsf --workload=ycsbt --trace=run.json
