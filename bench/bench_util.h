@@ -3,9 +3,13 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/parse_number.h"
+#include "fault/fault.h"
 #include "harness/experiment.h"
 #include "harness/systems.h"
 #include "obs/trace.h"
@@ -174,27 +178,70 @@ struct TraceArgs {
   bool enabled() const { return !path.empty(); }
 };
 
-inline TraceArgs ParseTraceArgs(int argc, char** argv) {
+/// Flags a bench takes on top of the shared ones. ParseTraceArgs accepts
+/// each flag whose target is set and rejects the others as unknown.
+struct BenchFlags {
+  bool* quick = nullptr;                 // --quick
+  std::string* out_path = nullptr;       // --out=<path>
+  std::string* schedule_path = nullptr;  // --schedule=<file>
+};
+
+/// Parses the command line: the bench's own flags, --trace, --trace-sample
+/// and the --dsan* family. An unknown flag or a malformed number exits 2.
+inline TraceArgs ParseTraceArgs(int argc, char** argv, BenchFlags own = {}) {
   TraceArgs args;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--trace=", 0) == 0) {
+    if (own.quick != nullptr && arg == "--quick") {
+      *own.quick = true;
+    } else if (own.out_path != nullptr && arg.rfind("--out=", 0) == 0) {
+      *own.out_path = arg.substr(6);
+    } else if (own.schedule_path != nullptr &&
+               arg.rfind("--schedule=", 0) == 0) {
+      *own.schedule_path = arg.substr(11);
+    } else if (arg.rfind("--trace=", 0) == 0) {
       args.path = arg.substr(8);
     } else if (arg.rfind("--trace-sample=", 0) == 0) {
-      args.sample_period = std::atoi(arg.c_str() + 15);
+      if (!ParseNumber("--trace-sample", arg.substr(15),
+                       &args.sample_period)) {
+        std::exit(2);
+      }
       if (args.sample_period < 1) args.sample_period = 1;
     } else if (ParseDsanArg(arg, &args.dsan)) {
       // handled
     } else {
+      std::string supported;
+      if (own.quick != nullptr) supported += "--quick, ";
+      if (own.out_path != nullptr) supported += "--out=<path>, ";
+      if (own.schedule_path != nullptr) supported += "--schedule=<file>, ";
       std::fprintf(stderr,
-                   "unknown argument %s (supported: --trace=<path>, "
+                   "unknown argument %s (supported: %s--trace=<path>, "
                    "--trace-sample=<N>, --dsan, --dsan-trail=<path>, "
                    "--dsan-diff[=<path>])\n",
-                   arg.c_str());
+                   arg.c_str(), supported.c_str());
       std::exit(2);
     }
   }
   return args;
+}
+
+/// Reads the fault schedule in `path` (fault::ParseSchedule grammar). A
+/// file that cannot be read or parsed exits 1 with the reason.
+inline fault::FaultSchedule LoadSchedule(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "cannot read schedule file %s\n", path.c_str());
+    std::exit(1);
+  }
+  std::stringstream buf;
+  buf << in.rdbuf();
+  fault::FaultSchedule schedule;
+  std::string error;
+  if (!fault::ParseSchedule(buf.str(), &schedule, &error)) {
+    std::fprintf(stderr, "%s: %s\n", path.c_str(), error.c_str());
+    std::exit(1);
+  }
+  return schedule;
 }
 
 inline void ApplyTraceArgs(const TraceArgs& args,

@@ -9,6 +9,7 @@
 //
 // Usage:
 //   fig_failover [--schedule=<file>] [--trace=<path>] [--trace-sample=<N>]
+//                [--dsan] [--dsan-trail=<path>] [--dsan-diff[=<path>]]
 //
 // Without --schedule, a default script scaled to the run duration is used
 // (crash at 20%, recover at 45%, partition s0|s1 at 55%, heal at 75%).
@@ -16,9 +17,7 @@
 //   5s  crash p0 r0
 //   11s recover p0 r0
 #include <cstdio>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -47,25 +46,9 @@ fault::FaultSchedule DefaultSchedule(SimDuration duration) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  TraceArgs trace_args;
   std::string schedule_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--schedule=", 0) == 0) {
-      schedule_path = arg.substr(11);
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      trace_args.path = arg.substr(8);
-    } else if (arg.rfind("--trace-sample=", 0) == 0) {
-      trace_args.sample_period = std::atoi(arg.c_str() + 15);
-      if (trace_args.sample_period < 1) trace_args.sample_period = 1;
-    } else {
-      std::fprintf(stderr,
-                   "unknown argument %s (supported: --schedule=<file>, "
-                   "--trace=<path>, --trace-sample=<N>)\n",
-                   arg.c_str());
-      return 2;
-    }
-  }
+  const TraceArgs trace_args =
+      ParseTraceArgs(argc, argv, {.schedule_path = &schedule_path});
 
   std::vector<System> systems = FailoverSystems();
   ExperimentConfig config = QuickConfig();
@@ -77,24 +60,9 @@ int main(int argc, char** argv) {
   config.backoff_base = Millis(50);
   config.timeline_bucket = Seconds(1);
 
-  if (schedule_path.empty()) {
-    config.cluster.fault_schedule = DefaultSchedule(config.duration);
-  } else {
-    std::ifstream in(schedule_path);
-    if (!in) {
-      std::fprintf(stderr, "cannot read schedule file %s\n",
-                   schedule_path.c_str());
-      return 1;
-    }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    std::string error;
-    if (!fault::ParseSchedule(buf.str(), &config.cluster.fault_schedule,
-                              &error)) {
-      std::fprintf(stderr, "%s: %s\n", schedule_path.c_str(), error.c_str());
-      return 1;
-    }
-  }
+  config.cluster.fault_schedule = schedule_path.empty()
+                                      ? DefaultSchedule(config.duration)
+                                      : LoadSchedule(schedule_path);
 
   std::printf("fault schedule:\n%s",
               fault::FormatSchedule(config.cluster.fault_schedule).c_str());

@@ -25,9 +25,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -72,31 +70,14 @@ int main(int argc, char** argv) {
   bool quick = false;
   std::string out_path;
   std::string schedule_path;
-  TraceArgs trace_args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else if (arg.rfind("--schedule=", 0) == 0) {
-      schedule_path = arg.substr(11);
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      trace_args.path = arg.substr(8);
-    } else if (arg.rfind("--trace-sample=", 0) == 0) {
-      trace_args.sample_period = std::atoi(arg.c_str() + 15);
-      if (trace_args.sample_period < 1) trace_args.sample_period = 1;
-    } else if (ParseDsanArg(arg, &trace_args.dsan)) {
-      // handled
-    } else {
-      std::fprintf(stderr,
-                   "unknown argument %s (supported: --quick, --out=<path>, "
-                   "--schedule=<file>, --trace=<path>, --trace-sample=<N>, "
-                   "--dsan, --dsan-trail=<path>, --dsan-diff[=<path>])\n",
-                   arg.c_str());
-      return 2;
-    }
-  }
+  const TraceArgs trace_args =
+      ParseTraceArgs(argc, argv,
+                     {.quick = &quick,
+                      .out_path = &out_path,
+                      .schedule_path = &schedule_path});
+  const fault::FaultSchedule custom_schedule =
+      schedule_path.empty() ? fault::FaultSchedule{}
+                            : LoadSchedule(schedule_path);
 
   std::vector<System> systems = {MakeSystem(SystemKind::kNattoRecsf)};
   auto workload = []() {
@@ -128,25 +109,9 @@ int main(int argc, char** argv) {
     config.backoff_base = Millis(50);
     config.timeline_bucket = Seconds(1);
     config.max_attempts = 8;
-    if (schedule_path.empty()) {
-      config.cluster.fault_schedule = GrayFailSchedule(config.duration);
-    } else {
-      std::ifstream in(schedule_path);
-      if (!in) {
-        std::fprintf(stderr, "cannot read schedule file %s\n",
-                     schedule_path.c_str());
-        return 1;
-      }
-      std::stringstream buf;
-      buf << in.rdbuf();
-      std::string error;
-      if (!fault::ParseSchedule(buf.str(), &config.cluster.fault_schedule,
-                                &error)) {
-        std::fprintf(stderr, "%s: %s\n", schedule_path.c_str(),
-                     error.c_str());
-        return 1;
-      }
-    }
+    config.cluster.fault_schedule = schedule_path.empty()
+                                        ? GrayFailSchedule(config.duration)
+                                        : custom_schedule;
     if (on == 1) {
       // The full defense stack. Thresholds sit well above healthy-run
       // operating points (commit latency ~tens of ms, phi ~0 between

@@ -60,6 +60,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/parse_number.h"
 #include "common/rng.h"
 #include "harness/experiment.h"
 #include "harness/systems.h"
@@ -674,6 +675,7 @@ void WriteJson(const Options& opt, const std::vector<SuiteResult>& results) {
 
 int Main(int argc, char** argv) {
   Options opt;
+  bool ok = true;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--quick") {
@@ -681,19 +683,24 @@ int Main(int argc, char** argv) {
     } else if (arg == "--check-steady-allocs") {
       opt.check_steady_allocs = true;
     } else if (arg.rfind("--reps=", 0) == 0) {
-      opt.reps = std::atoi(arg.c_str() + 7);
+      ok &= ParseNumber("--reps", arg.substr(7), &opt.reps);
       if (opt.reps < 1) opt.reps = 1;
     } else if (arg.rfind("--check-parallel-speedup=", 0) == 0) {
-      opt.check_parallel_speedup = std::atof(arg.c_str() + 25);
+      ok &= ParseNumber("--check-parallel-speedup", arg.substr(25),
+                        &opt.check_parallel_speedup);
     } else if (arg.rfind("--out=", 0) == 0) {
       opt.out_path = arg.substr(6);
     } else {
-      std::fprintf(stderr,
-                   "usage: perf_kernel [--quick] [--reps=N] [--out=PATH] "
-                   "[--check-steady-allocs] "
-                   "[--check-parallel-speedup=X]\n");
-      return 2;
+      std::fprintf(stderr, "unknown argument %s\n", arg.c_str());
+      ok = false;
     }
+  }
+  if (!ok) {
+    std::fprintf(stderr,
+                 "usage: perf_kernel [--quick] [--reps=N] [--out=PATH] "
+                 "[--check-steady-allocs] "
+                 "[--check-parallel-speedup=X]\n");
+    return 2;
   }
 
   std::vector<SuiteResult> results;

@@ -26,10 +26,10 @@ int main() {
   int committed = 0;
   for (int i = 1; i <= 5; ++i) {
     simulator.ScheduleAt(Millis(100) * i, [&group, &committed, i]() {
-      Status s = group.leader()->Propose(
+      const bool accepted = group.leader()->Propose(
           static_cast<raft::PayloadId>(i), [&committed]() { ++committed; });
       std::printf("t=%.0fms propose #%d: %s\n", 0.1 * 1000 * i, i,
-                  s.ToString().c_str());
+                  accepted ? "OK" : "Unavailable: not the leader");
     });
   }
   simulator.RunUntil(Seconds(1));

@@ -1,6 +1,5 @@
 #include "carousel/carousel.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
@@ -16,7 +15,6 @@ CarouselServer::CarouselServer(CarouselEngine* engine, int partition, int site,
     : net::Node(engine->cluster()->transport(), site, clock),
       engine_(engine),
       partition_(partition),
-      payload_ids_(engine->NewPayloadAllocator()),
       kv_(engine->cluster()->options().default_value) {
   obs::MetricsRegistry* m = engine->cluster()->metrics();
   const std::string prefix =
@@ -79,7 +77,7 @@ void CarouselServer::HandleReadPrepare(const WireTxn& txn) {
   }
   auto* co = engine_->coordinator_by_node(coord);
   engine_->cluster()->group(partition_)->Propose(
-      payload_ids_->Next(),
+      id,
       [this, co, coord, id, partition]() {
         if (obs::Tracer* tr = engine_->cluster()->tracer()) {
           tr->SpanEnd(id, "prepare", partition, TrueNow());
@@ -90,8 +88,7 @@ void CarouselServer::HandleReadPrepare(const WireTxn& txn) {
       },
       [this, co, coord, id, partition](bool timed_out) {
         replication_fail_vote_no_->Inc();
-        obs::AbortCause cause = timed_out ? obs::AbortCause::kLeaderFailover
-                                          : obs::AbortCause::kReplicationFailed;
+        obs::AbortCause cause = txn::LostProposalCause(timed_out);
         if (obs::Tracer* tr = engine_->cluster()->tracer()) {
           tr->SpanEnd(id, "prepare", partition_, TrueNow());
           tr->AttributeAbort(id, cause);
@@ -112,7 +109,7 @@ void CarouselServer::HandleCommit(TxnId id,
   // The commit decision is already fixed at the coordinator, so the write
   // data must eventually replicate even across leader changes.
   engine_->cluster()->group(partition_)->ProposeWithRetry(
-      payload_ids_->Next(), [this, id, writes = std::move(writes)]() {
+      id, [this, id, writes = std::move(writes)]() {
         for (const auto& [k, v] : writes) kv_.Apply(k, v, id);
         prepared_.Remove(id);
         finished_.insert(id);
@@ -135,7 +132,6 @@ CarouselFastReplica::CarouselFastReplica(CarouselEngine* engine, int partition,
       engine_(engine),
       partition_(partition),
       replica_(replica),
-      payload_ids_(engine->NewPayloadAllocator()),
       kv_(engine->cluster()->options().default_value) {
   obs::MetricsRegistry* m = engine->cluster()->metrics();
   const std::string prefix = "carousel.replica.p" + std::to_string(partition) +
@@ -239,7 +235,7 @@ void CarouselFastReplica::HandleSlowPrepare(
     tr->SpanBegin(id, "slow_prepare", partition_, TrueNow());
   }
   engine_->cluster()->group(partition_)->Propose(
-      payload_ids_->Next(),
+      id,
       [this, vote, id, partition]() {
         if (obs::Tracer* tr = engine_->cluster()->tracer()) {
           tr->SpanEnd(id, "slow_prepare", partition, TrueNow());
@@ -248,8 +244,7 @@ void CarouselFastReplica::HandleSlowPrepare(
       },
       [this, vote, id, partition](bool timed_out) {
         slow_vote_no_->Inc();
-        obs::AbortCause cause = timed_out ? obs::AbortCause::kLeaderFailover
-                                          : obs::AbortCause::kReplicationFailed;
+        obs::AbortCause cause = txn::LostProposalCause(timed_out);
         if (obs::Tracer* tr = engine_->cluster()->tracer()) {
           tr->SpanEnd(id, "slow_prepare", partition, TrueNow());
           tr->AttributeAbort(id, cause);
@@ -279,8 +274,7 @@ void CarouselFastReplica::HandleAbort(TxnId id) {
 
 CarouselCoordinator::CarouselCoordinator(CarouselEngine* engine, int site,
                                          sim::NodeClock clock)
-    : CoordinatorCore(engine->cluster(), site, clock,
-                      engine->NewPayloadAllocator(), "carousel",
+    : CoordinatorCore(engine->cluster(), site, clock, "carousel",
                       obs::AbortCause::kOccConflict),
       engine_(engine) {
   obs::MetricsRegistry* m = engine->cluster()->metrics();
@@ -519,7 +513,7 @@ void CarouselGateway::SendRound2(TxnId id, txn::ClientTxn& st,
 // ---------------------------------------------------------------------------
 
 CarouselEngine::CarouselEngine(txn::Cluster* cluster, CarouselOptions options)
-    : EngineCore(cluster, kPayloadIdBase), options_(options) {
+    : EngineCore(cluster), options_(options) {
   const txn::Topology& topo = cluster_->topology();
   for (int p = 0; p < topo.num_partitions(); ++p) {
     servers_.push_back(std::make_unique<CarouselServer>(

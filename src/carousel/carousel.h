@@ -58,7 +58,6 @@ class CarouselServer : public net::Node {
  private:
   CarouselEngine* engine_;
   int partition_;
-  raft::PayloadIdAllocator* payload_ids_;
   store::KvStore kv_;
   store::PreparedSet prepared_;
   TxnIdSet finished_;  // tombstones for late arrivals
@@ -96,7 +95,6 @@ class CarouselFastReplica : public net::Node {
   CarouselEngine* engine_;
   int partition_;
   int replica_;
-  raft::PayloadIdAllocator* payload_ids_;
   store::KvStore kv_;
   store::PreparedSet prepared_;
   TxnIdSet finished_;
@@ -209,9 +207,6 @@ class CarouselEngine
   /// Test hook: committed value at the partition leader (fast path: replica
   /// 0).
   Value DebugValue(Key key) override;
-
-  /// First replication payload id this engine family issues.
-  static constexpr uint64_t kPayloadIdBase = 1;
 
  private:
   CarouselOptions options_;

@@ -1,51 +1,9 @@
 #include "common/logging.h"
 
-#include <atomic>
+#include <cstdio>
+#include <cstdlib>
 
-namespace natto {
-
-namespace {
-std::atomic<int> g_log_level{static_cast<int>(LogLevel::kWarning)};
-}  // namespace
-
-void SetLogLevel(LogLevel level) {
-  g_log_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_log_level.load(std::memory_order_relaxed));
-}
-
-namespace internal_logging {
-
-namespace {
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarning:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-  }
-  return "?";
-}
-}  // namespace
-
-LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : enabled_(static_cast<int>(level) >=
-               g_log_level.load(std::memory_order_relaxed)),
-      level_(level) {
-  if (enabled_) stream_ << "[" << LevelName(level) << " " << file << ":" << line << "] ";
-}
-
-LogMessage::~LogMessage() {
-  if (enabled_) {
-    std::fprintf(stderr, "%s\n", stream_.str().c_str());
-  }
-}
+namespace natto::internal_logging {
 
 void FatalCheckFailure(const char* file, int line, const char* expr,
                        const std::string& msg) {
@@ -54,5 +12,4 @@ void FatalCheckFailure(const char* file, int line, const char* expr,
   std::abort();
 }
 
-}  // namespace internal_logging
-}  // namespace natto
+}  // namespace natto::internal_logging

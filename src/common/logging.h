@@ -1,38 +1,10 @@
 #ifndef NATTO_COMMON_LOGGING_H_
 #define NATTO_COMMON_LOGGING_H_
 
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 
-namespace natto {
-
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
-
-/// Global log threshold; messages below it are dropped. Defaults to kWarning
-/// so simulations stay quiet unless a test or tool opts in.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
-
-namespace internal_logging {
-
-class LogMessage {
- public:
-  LogMessage(LogLevel level, const char* file, int line);
-  ~LogMessage();
-
-  template <typename T>
-  LogMessage& operator<<(const T& v) {
-    if (enabled_) stream_ << v;
-    return *this;
-  }
-
- private:
-  bool enabled_;
-  LogLevel level_;
-  std::ostringstream stream_;
-};
+namespace natto::internal_logging {
 
 [[noreturn]] void FatalCheckFailure(const char* file, int line,
                                     const char* expr, const std::string& msg);
@@ -69,12 +41,7 @@ class CheckMessage {
   std::ostringstream stream_;
 };
 
-}  // namespace internal_logging
-}  // namespace natto
-
-#define NATTO_LOG(level)                                              \
-  ::natto::internal_logging::LogMessage(::natto::LogLevel::k##level, \
-                                        __FILE__, __LINE__)
+}  // namespace natto::internal_logging
 
 /// Fatal assertion, always on. Streams an optional explanation:
 ///   NATTO_CHECK(a < b) << "details";

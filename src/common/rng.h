@@ -64,12 +64,6 @@ class Rng {
     return xm / std::pow(u, 1.0 / alpha);
   }
 
-  /// Normally distributed value.
-  double Normal(double mean, double stddev) {
-    Tick();
-    return std::normal_distribution<double>(mean, stddev)(engine_);
-  }
-
   /// Derives an independent child generator; useful for giving each actor
   /// its own stream from one experiment seed. The child inherits the parent's
   /// dsan draw counter so a whole fork tree counts into one stream.

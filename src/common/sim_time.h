@@ -18,11 +18,6 @@ constexpr SimDuration Micros(int64_t n) { return n; }
 constexpr SimDuration Millis(int64_t n) { return n * 1000; }
 constexpr SimDuration Seconds(int64_t n) { return n * 1000 * 1000; }
 
-/// Millisecond duration expressed as a double (e.g., from a latency matrix).
-constexpr SimDuration MillisF(double ms) {
-  return static_cast<SimDuration>(ms * 1000.0);
-}
-
 constexpr double ToMillis(SimDuration d) { return static_cast<double>(d) / 1000.0; }
 constexpr double ToSeconds(SimDuration d) {
   return static_cast<double>(d) / 1000000.0;

@@ -117,8 +117,6 @@ class FaultInjector {
   /// Schedules every event. Call once, before the simulation runs.
   void Arm();
 
-  int num_events() const { return static_cast<int>(schedule_.events.size()); }
-
  private:
   void Apply(const FaultEvent& e);
   raft::RaftReplica* Replica(int partition, int replica);

@@ -312,17 +312,17 @@ SimDuration Client::BackoffDelay(const Options& options, SimTime first_start,
                                  int next_attempt) {
   // Capped exponential backoff: retry n (first retry has next_attempt == 2)
   // waits base * 2^(n-1), so shift by next_attempt - 2. Jitter is added
-  // before the final clamp so `backoff_cap` bounds the observable wait
+  // before the final clamp so kBackoffCap bounds the observable wait
   // (clamping first and jittering after overshot the cap by up to 50%).
   int shift = std::min(next_attempt - 2, 20);
   SimDuration delay = options.backoff_base << shift;
-  delay = std::min(delay, options.backoff_cap);
+  delay = std::min(delay, kBackoffCap);
   uint64_t h = HashMix((static_cast<uint64_t>(options.client_id) << 40) ^
                        (static_cast<uint64_t>(first_start) << 8) ^
                        static_cast<uint64_t>(next_attempt));
   SimDuration jitter =
       static_cast<SimDuration>(h % (static_cast<uint64_t>(delay) / 2 + 1));
-  return std::min(delay + jitter, options.backoff_cap);
+  return std::min(delay + jitter, kBackoffCap);
 }
 
 void Client::RecordTimelineCommit(double latency_ms) {

@@ -2,7 +2,6 @@
 #define NATTO_HARNESS_CLIENT_H_
 
 #include <functional>
-#include <memory>
 
 #include "common/rng.h"
 #include "harness/stats.h"
@@ -21,6 +20,9 @@ namespace natto::harness {
 /// `max_attempts` is recorded as failed; committed latency includes retries.
 class Client {
  public:
+  /// Upper bound on one retry's backoff wait, jitter included.
+  static constexpr SimDuration kBackoffCap = Seconds(2);
+
   struct Options {
     double rate_tps = 10;  // this client's share of the input rate
     int origin_site = 0;
@@ -43,11 +45,10 @@ class Client {
 
     /// Retry backoff (0 = the paper's immediate retry). Retry n waits
     /// base * 2^(n-1) plus deterministic jitter in [0, delay/2] hashed from
-    /// (client id, txn start, attempt), the sum clamped to `backoff_cap` so
+    /// (client id, txn start, attempt), the sum clamped to kBackoffCap so
     /// the cap bounds the observable wait. No RNG stream is consumed, so
     /// enabling backoff never perturbs arrivals.
     SimDuration backoff_base = 0;
-    SimDuration backoff_cap = Seconds(2);
 
     /// Fault-aware origin re-selection hook (Cluster::RouteOriginSite).
     /// Called per attempt with the home site; a different return value
@@ -96,12 +97,10 @@ class Client {
   /// Schedules the first arrival.
   void Start();
 
-  uint32_t next_seq() const { return next_seq_; }
-
   /// The exact (jittered, capped) backoff delay retry `next_attempt` of a
   /// transaction first attempted at `first_start` would wait under
   /// `options`. Pure function of its arguments; exposed so tests can pin
-  /// the backoff envelope (never exceeds `options.backoff_cap`).
+  /// the backoff envelope (never exceeds kBackoffCap).
   static SimDuration BackoffDelay(const Options& options, SimTime first_start,
                                   int next_attempt);
 

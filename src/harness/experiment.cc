@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/parse_number.h"
 #include "harness/client.h"
 #include "harness/parallel_runner.h"
 #include "txn/topology.h"
@@ -53,10 +54,8 @@ RunStats RunOnce(const ExperimentConfig& config, const System& system,
       opts.measure_start = measure_start;
       opts.measure_end = measure_end;
       opts.max_attempts = config.max_attempts;
-      opts.promote_after_aborts = config.promote_after_aborts;
       opts.request_timeout = config.request_timeout;
       opts.backoff_base = config.backoff_base;
-      opts.backoff_cap = config.backoff_cap;
       opts.timeline_bucket = config.timeline_bucket;
       opts.hedge_percentile = config.hedge_percentile;
       opts.hedge_min_delay = config.hedge_min_delay;
@@ -201,17 +200,13 @@ void ApplyEnvOverrides(ExperimentConfig* config) {
   // library itself never reads the environment — natto-env-read enforces
   // that); everything configurable from outside funnels through here.
   if (const char* r = std::getenv("NATTO_REPEATS")) {  // NOLINT(natto-env-read)
-    int v = std::atoi(r);
-    if (v > 0) config->repeats = v;
+    config->repeats = ParseEnvInt("NATTO_REPEATS", r, 1);
   }
   if (const char* d = std::getenv("NATTO_DURATION_S")) {  // NOLINT(natto-env-read)
-    int v = std::atoi(d);
-    if (v >= 3) {
-      config->duration = Seconds(v);
-      // Keep the paper's proportions: trim 1/6th at each end.
-      config->warmup = Seconds(v) / 6;
-      config->cooldown = Seconds(v) / 6;
-    }
+    config->duration = Seconds(ParseEnvInt("NATTO_DURATION_S", d, 3));
+    // Keep the paper's proportions: trim 1/6th at each end.
+    config->warmup = config->duration / 6;
+    config->cooldown = config->duration / 6;
   }
   if (const char* s = std::getenv("NATTO_DSAN")) {  // NOLINT(natto-env-read)
     if (s[0] != '\0' && !(s[0] == '0' && s[1] == '\0')) {
@@ -219,8 +214,7 @@ void ApplyEnvOverrides(ExperimentConfig* config) {
     }
   }
   if (const char* t = std::getenv("NATTO_SIM_THREADS")) {  // NOLINT(natto-env-read)
-    int v = std::atoi(t);
-    if (v > 0) config->cluster.sim_threads = v;
+    config->cluster.sim_threads = ParseEnvInt("NATTO_SIM_THREADS", t, 1);
   }
 }
 

@@ -34,14 +34,12 @@ struct ExperimentConfig {
   int repeats = 10;
   uint64_t seed = 42;
   int max_attempts = 100;
-  int promote_after_aborts = 0;
 
   /// Failover-harness knobs, all off by default (fault-free runs are
   /// byte-identical to a build without the fault layer). See
   /// Client::Options for semantics.
   SimDuration request_timeout = 0;
   SimDuration backoff_base = 0;
-  SimDuration backoff_cap = Seconds(2);
   SimDuration timeline_bucket = 0;
 
   /// Client-side hedged requests (gray-failure defense, off by default;
@@ -138,9 +136,11 @@ ExperimentResult RunExperiment(const ExperimentConfig& config,
                                const System& system,
                                const WorkloadFactory& workload_factory);
 
-/// Reads NATTO_REPEATS / NATTO_DURATION_S / NATTO_DSAN env overrides so the
-/// benches can be dialed between quick mode and the paper's full 10x60s
-/// setting (and audited with the determinism sanitizer) without recompiling.
+/// Reads NATTO_REPEATS / NATTO_DURATION_S / NATTO_DSAN / NATTO_SIM_THREADS
+/// env overrides so the benches can be dialed between quick mode and the
+/// paper's full 10x60s setting (and audited with the determinism sanitizer)
+/// without recompiling. A malformed number, a NATTO_DURATION_S below 3 or
+/// another count below 1 fails a NATTO_CHECK.
 void ApplyEnvOverrides(ExperimentConfig* config);
 
 }  // namespace natto::harness

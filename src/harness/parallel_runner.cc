@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <thread>
 
+#include "common/parse_number.h"
+
 namespace natto::harness {
 
 namespace {
@@ -37,8 +39,7 @@ int DefaultJobs() {
   // results (cells are deterministic and merge in submission order), so
   // this env read is sanctioned.
   if (const char* env = std::getenv("NATTO_JOBS")) {  // NOLINT(natto-env-read)
-    int v = std::atoi(env);
-    if (v > 0) return v;
+    return ParseEnvInt("NATTO_JOBS", env, 1);
   }
   unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;

@@ -15,8 +15,9 @@ namespace natto::harness {
 uint64_t CellSeed(uint64_t base_seed, int system_index, int x_index,
                   int repeat);
 
-/// Worker count for experiment fan-out: the NATTO_JOBS env var when set to a
-/// positive integer, else std::thread::hardware_concurrency() (at least 1).
+/// Worker count for experiment fan-out: the NATTO_JOBS env var when set (a
+/// positive integer; anything else fails a check), else
+/// std::thread::hardware_concurrency() (at least 1).
 /// NATTO_JOBS=1 recovers the old serial path exactly: every cell runs inline
 /// on the calling thread, in submission order, with no threads spawned.
 int DefaultJobs();
@@ -27,8 +28,8 @@ int DefaultJobs();
 /// results are merged in submission order and the aggregate output is
 /// bit-identical for any job count. Tasks must be mutually independent:
 /// every cell builds its own Simulator/Cluster/engine and shares no mutable
-/// state with its siblings (the engines are instance-isolated for exactly
-/// this reason — see each engine's NewPayloadAllocator()).
+/// state with its siblings (nattolint's natto-mutable-static rule keeps
+/// process-wide state out of the engines).
 class ParallelRunner {
  public:
   /// jobs <= 0 selects DefaultJobs().

@@ -5,8 +5,6 @@
 #include <optional>
 #include <utility>
 
-#include "common/logging.h"
-
 namespace natto::core {
 
 namespace {
@@ -65,7 +63,6 @@ NattoServer::NattoServer(NattoEngine* engine, int partition, int site,
     : net::Node(engine->cluster()->transport(), site, clock),
       engine_(engine),
       partition_(partition),
-      payload_ids_(engine->NewPayloadAllocator()),
       kv_(engine->cluster()->options().default_value) {
   obs::MetricsRegistry* reg = engine->cluster()->metrics();
   const std::string prefix =
@@ -320,7 +317,7 @@ void NattoServer::PrepareNow(TxnState st, bool conditional,
   // replication completes so it reflects the *current* conditional state:
   // a condition may resolve (or fail) while the prepare is replicating.
   engine_->cluster()->group(partition_)->Propose(
-      payload_ids_->Next(),
+      id,
       [this, id, version, coord, span_name]() {
         if (obs::Tracer* tr = engine_->cluster()->tracer()) {
           tr->SpanEnd(id, span_name, partition_, TrueNow());
@@ -342,9 +339,8 @@ void NattoServer::PrepareNow(TxnState st, bool conditional,
         }
         const TxnState* st = table_.Find(Stage::kPrepared, id);
         if (st == nullptr || st->read_version != version) return;
-        obs::AbortCause cause = timed_out ? obs::AbortCause::kLeaderFailover
-                                          : obs::AbortCause::kReplicationFailed;
-        SendVote(coord, {.id = id, .read_version = version, .cause = cause});
+        SendVote(coord, {.id = id, .read_version = version,
+                         .cause = txn::LostProposalCause(timed_out)});
       });
 }
 
@@ -399,14 +395,12 @@ void NattoServer::HandleCommit(TxnId id,
     // LECSF (Sec 3.4): the commit is already fault tolerant at the
     // coordinator, so make the writes visible before replicating them.
     complete(writes);
-    engine_->cluster()->group(partition_)->ProposeWithRetry(
-        payload_ids_->Next(), []() {});
+    engine_->cluster()->group(partition_)->ProposeWithRetry(id, []() {});
   } else {
     // The coordinator already reported the commit, so the write data must
     // eventually replicate even across leader changes.
     engine_->cluster()->group(partition_)->ProposeWithRetry(
-        payload_ids_->Next(),
-        [complete, writes = std::move(writes)]() { complete(writes); });
+        id, [complete, writes = std::move(writes)]() { complete(writes); });
   }
 }
 
@@ -597,8 +591,7 @@ void NattoServer::ForwardReadsRemote(const TxnState& high,
 
 NattoCoordinator::NattoCoordinator(NattoEngine* engine, int site,
                                    sim::NodeClock clock)
-    : CoordinatorCore(engine->cluster(), site, clock,
-                      engine->NewPayloadAllocator(), "natto"),
+    : CoordinatorCore(engine->cluster(), site, clock, "natto"),
       engine_(engine) {}
 
 void NattoCoordinator::HandleBegin(const NattoWireTxn& txn,
@@ -950,7 +943,7 @@ void NattoGateway::SendRound2(TxnId id, NattoClientTxn& st,
 // ---------------------------------------------------------------------------
 
 NattoEngine::NattoEngine(txn::Cluster* cluster, NattoOptions options)
-    : EngineCore(cluster, kPayloadIdBase), options_(options) {
+    : EngineCore(cluster), options_(options) {
   const txn::Topology& topo = cluster_->topology();
   for (int p = 0; p < topo.num_partitions(); ++p) {
     servers_.push_back(std::make_unique<NattoServer>(

@@ -142,7 +142,6 @@ class NattoServer : public net::Node {
 
   NattoEngine* engine_;
   int partition_;
-  raft::PayloadIdAllocator* payload_ids_;
   store::KvStore kv_;
 
   /// Every queued, waiting and prepared transaction.
@@ -318,10 +317,6 @@ class NattoEngine : public txn::EngineCore<NattoGateway, NattoCoordinator> {
 
   /// Aggregated server stats.
   NattoServer::Stats TotalStats() const;
-
-  /// First replication payload id (distinct range from the other engine
-  /// families so mixed-engine Raft logs stay readable).
-  static constexpr uint64_t kPayloadIdBase = 2'000'000'000ull;
 
  private:
   NattoOptions options_;

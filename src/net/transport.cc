@@ -83,11 +83,6 @@ NodeId Transport::AddNode(int site) {
   return static_cast<NodeId>(node_sites_.size()) - 1;
 }
 
-int Transport::node_site(NodeId node) const {
-  NATTO_DCHECK(node >= 0 && node < num_nodes());
-  return node_sites_[node];
-}
-
 void Transport::SetNodeCrashed(NodeId node, bool crashed) {
   NATTO_CHECK(node >= 0 && node < num_nodes());
   node_crashed_[node] = crashed;
@@ -95,11 +90,6 @@ void Transport::SetNodeCrashed(NodeId node, bool crashed) {
   // messages meet the delivery-time crash check instead of outliving the
   // fault inside the batcher.
   if (crashed && !link_batches_.empty()) FlushBatchesTo(node_sites_[node]);
-}
-
-bool Transport::IsNodeCrashed(NodeId node) const {
-  NATTO_DCHECK(node >= 0 && node < num_nodes());
-  return node_crashed_[node];
 }
 
 void Transport::SetSitePartitioned(int site_a, int site_b, bool partitioned) {

@@ -100,7 +100,6 @@ class Transport {
   /// Registers a node at datacenter `site`; returns its id.
   NodeId AddNode(int site);
 
-  int node_site(NodeId node) const;
   int num_nodes() const { return static_cast<int>(node_sites_.size()); }
 
   /// Sends a message of `bytes` from `from` to `to`; `deliver` runs at the
@@ -126,7 +125,6 @@ class Transport {
   /// open batch destined to its site, so queued messages meet the
   /// delivery-time crash check instead of lingering in the batcher.
   void SetNodeCrashed(NodeId node, bool crashed);
-  bool IsNodeCrashed(NodeId node) const;
 
   /// Installs (or heals) a symmetric blackhole between two sites: every
   /// message whose endpoints straddle the pair is dropped, including

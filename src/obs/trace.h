@@ -1,7 +1,6 @@
 #ifndef NATTO_OBS_TRACE_H_
 #define NATTO_OBS_TRACE_H_
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -87,8 +86,6 @@ class Tracer {
   /// deterministic. Unfinished traces (in-flight at simulation end) are
   /// included with an empty outcome.
   std::vector<TxnTrace> Drain();
-
-  size_t traced_count() const { return txns_.size(); }
 
  private:
   TraceOptions options_;

@@ -108,17 +108,17 @@ void RaftGroup::Propose(PayloadId payload, std::function<void()> on_committed,
   if (propose_timeout_ <= 0) {
     // Fault-free fast path: no timer, no completion token — identical event
     // stream to proposing at the leader directly.
-    Status s = l->Propose(payload, std::move(on_committed));
-    if (!s.ok()) on_failed(false);
+    if (!l->Propose(payload, std::move(on_committed))) on_failed(false);
     return;
   }
   auto done = std::make_shared<bool>(false);
-  Status s = l->Propose(payload, [done, cb = std::move(on_committed)]() {
-    if (*done) return;  // already timed out
-    *done = true;
-    cb();
-  });
-  if (!s.ok()) {
+  const bool accepted =
+      l->Propose(payload, [done, cb = std::move(on_committed)]() {
+        if (*done) return;  // already timed out
+        *done = true;
+        cb();
+      });
+  if (!accepted) {
     on_failed(false);
     return;
   }
@@ -146,8 +146,7 @@ void RaftGroup::ProposeAttempt(PayloadId payload,
       [cb]() {
         if (*cb) (*cb)();
       },
-      [this, payload, cb, attempts_left](bool timed_out) {
-        (void)timed_out;
+      [this, payload, cb, attempts_left](bool /*timed_out*/) {
         if (attempts_left <= 0) return;  // unrecoverable outage backstop
         // Re-propose after an election has had time to make progress. The
         // payload is opaque, so a duplicate log entry from a retry racing a

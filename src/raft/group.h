@@ -52,7 +52,6 @@ class RaftGroup {
   /// with a fault schedule). Without it the helpers add no timer events, so
   /// fault-free runs stay byte-identical to the pre-fault-layer behavior.
   void EnableFailureHandling(SimDuration propose_timeout);
-  bool failure_handling_enabled() const { return propose_timeout_ > 0; }
 
   /// Replicates `payload` through the current leader. Exactly one callback
   /// fires: `on_committed` once a majority has the entry, or

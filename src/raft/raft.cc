@@ -77,11 +77,9 @@ void RaftReplica::SetCrashed(bool crashed) {
   }
 }
 
-Status RaftReplica::Propose(PayloadId payload,
-                            std::function<void()> on_committed) {
-  if (crashed_ || role_ != Role::kLeader) {
-    return Status::Unavailable("not the leader");
-  }
+bool RaftReplica::Propose(PayloadId payload,
+                          std::function<void()> on_committed) {
+  if (crashed_ || role_ != Role::kLeader) return false;
   log_.push_back(LogEntry{term_, payload});
   uint64_t index = log_.size();
   if (on_committed) pending_callbacks_.emplace_back(index, std::move(on_committed));
@@ -91,7 +89,7 @@ Status RaftReplica::Propose(PayloadId payload,
   // Single-replica group commits immediately.
   if (peers_.size() == 1) {
     AdvanceCommit();
-    return Status::OK();
+    return true;
   }
   // Group commit: the first pending proposal opens a flush window of
   // group_commit_delay; everything proposed before it fires ships in one
@@ -106,7 +104,7 @@ Status RaftReplica::Propose(PayloadId payload,
           if (!crashed_ && role_ == Role::kLeader) BroadcastAppend();
         });
   }
-  return Status::OK();
+  return true;
 }
 
 void RaftReplica::RegisterMetrics(obs::MetricsRegistry* registry) {

@@ -6,42 +6,18 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/status.h"
+#include "common/types.h"
 #include "net/failure_detector.h"
 #include "net/node.h"
 #include "obs/metrics.h"
 
 namespace natto::raft {
 
-/// Opaque payload handle replicated through the log; engines keep the actual
-/// data (prepare results, write data) keyed by this id.
-using PayloadId = uint64_t;
-
-/// Issues replication payload ids for one proposing node. Each allocator
-/// owns a disjoint stripe of its engine family's id space —
-/// `family_base + (stripe << 32) + seq` — so proposers on different site
-/// lanes allocate without touching a shared engine counter (an engine-wide
-/// `next_id++` would race across lanes under the site-parallel kernel and
-/// make id values depend on thread interleaving). Ids stay unique within an
-/// engine as long as each stripe issues fewer than 2^32 ids and the engine
-/// assigns stripes densely from 0. Ids are opaque to Raft and never
-/// iterated in id order, so the striped values are deterministic at any
-/// NATTO_SIM_THREADS: each node's seq depends only on its own event order.
-class PayloadIdAllocator {
- public:
-  PayloadIdAllocator() = default;
-  PayloadIdAllocator(uint64_t family_base, uint32_t stripe)
-      : base_(family_base + (static_cast<uint64_t>(stripe) << 32)) {}
-
-  PayloadId Next() { return base_ + issued_++; }
-
-  /// Ids handed out so far (test hook for the stripe-isolation invariant).
-  uint64_t issued() const { return issued_; }
-
- private:
-  uint64_t base_ = 0;
-  uint64_t issued_ = 0;
-};
+/// Label of a replicated record. Engines keep the record's data (prepare
+/// results, write data) in their own state and label the entry with the
+/// transaction id; Raft never reads the label, and only tests observe it
+/// (SetOnApply).
+using PayloadId = TxnId;
 
 struct LogEntry {
   uint64_t term = 0;
@@ -124,9 +100,9 @@ class RaftReplica : public net::Node {
 
   /// Leader-only: appends `payload` to the log and replicates it;
   /// `on_committed` fires on this node once a majority has the entry.
-  /// Returns Unavailable if this replica is not the leader (callback
-  /// dropped).
-  Status Propose(PayloadId payload, std::function<void()> on_committed);
+  /// Returns false, dropping the callback, if this replica is not a live
+  /// leader.
+  bool Propose(PayloadId payload, std::function<void()> on_committed);
 
   /// Fires for every payload as it commits on this replica (leader and
   /// followers), in log order. Used by tests to check replica agreement.
@@ -155,10 +131,6 @@ class RaftReplica : public net::Node {
   /// deposed). Returns false when no suitable target exists. The old
   /// leader keeps serving until the new term's AppendEntries arrives.
   bool TransferLeadership();
-
-  /// Current propose->commit latency EWMA in micros; < 0 until the first
-  /// commit sample. Only maintained when fail_away_commit_latency > 0.
-  double commit_latency_ewma() const { return commit_latency_ewma_; }
 
  private:
   enum class Role { kFollower, kCandidate, kLeader };

@@ -1,9 +1,6 @@
 #include "spanner/spanner.h"
 
-#include <algorithm>
 #include <utility>
-
-#include "common/logging.h"
 
 namespace natto::spanner {
 
@@ -33,7 +30,6 @@ SpannerServer::SpannerServer(SpannerEngine* engine, int partition, int site,
     : net::Node(engine->cluster()->transport(), site, clock),
       engine_(engine),
       partition_(partition),
-      payload_ids_(engine->NewPayloadAllocator()),
       kv_(engine->cluster()->options().default_value) {
   obs::MetricsRegistry* m = engine->cluster()->metrics();
   const std::string prefix = "spanner.p" + std::to_string(partition) + ".";
@@ -258,7 +254,7 @@ void SpannerServer::FinishPrepare(TxnId id) {
     return;
   }
   engine_->cluster()->group(partition_)->Propose(
-      payload_ids_->Next(), vote,
+      id, vote,
       [this, id, coord = lt.meta.coordinator](bool timed_out) {
         // Prepare record lost to a leader failure: vote no and let the
         // coordinator's abort clean up our lock/txn state.
@@ -267,8 +263,7 @@ void SpannerServer::FinishPrepare(TxnId id) {
         }
         auto* co = engine_->coordinator_by_node(coord);
         int partition = partition_;
-        obs::AbortCause cause = timed_out ? obs::AbortCause::kLeaderFailover
-                                          : obs::AbortCause::kReplicationFailed;
+        obs::AbortCause cause = txn::LostProposalCause(timed_out);
         SendTo(coord, kMessageHeaderBytes, [co, id, partition, cause]() {
           co->HandleVote(id, partition, /*ok=*/false, cause);
         });
@@ -287,7 +282,7 @@ void SpannerServer::HandleCommit(TxnId id) {
   // The decision is already fixed, so the commit record must eventually
   // replicate even across leader changes.
   engine_->cluster()->group(partition_)->ProposeWithRetry(
-      payload_ids_->Next(), [this, id]() {
+      id, [this, id]() {
         auto it2 = txns_.find(id);
         if (it2 == txns_.end()) return;
         for (const auto& [k, v] : it2->second.writes) kv_.Apply(k, v, id);
@@ -310,8 +305,7 @@ void SpannerServer::HandleAbort(TxnId id) {
 
 SpannerCoordinator::SpannerCoordinator(SpannerEngine* engine, int site,
                                        sim::NodeClock clock)
-    : CoordinatorCore(engine->cluster(), site, clock,
-                      engine->NewPayloadAllocator(), "spanner",
+    : CoordinatorCore(engine->cluster(), site, clock, "spanner",
                       obs::AbortCause::kWound),
       engine_(engine) {
   wounds_received_ =
@@ -484,7 +478,7 @@ void SpannerGateway::SendRound2(
 // ---------------------------------------------------------------------------
 
 SpannerEngine::SpannerEngine(txn::Cluster* cluster, SpannerOptions options)
-    : EngineCore(cluster, kPayloadIdBase), options_(options) {
+    : EngineCore(cluster), options_(options) {
   const txn::Topology& topo = cluster_->topology();
   for (int p = 0; p < topo.num_partitions(); ++p) {
     servers_.push_back(std::make_unique<SpannerServer>(

@@ -92,7 +92,6 @@ class SpannerServer : public net::Node {
 
   SpannerEngine* engine_;
   int partition_;
-  raft::PayloadIdAllocator* payload_ids_;
   store::KvStore kv_;
   store::LockTable locks_;
   std::unordered_map<TxnId, LocalTxn> txns_;
@@ -166,10 +165,6 @@ class SpannerEngine
   SpannerServer* server(int partition) { return servers_[partition].get(); }
 
   Value DebugValue(Key key) override;
-
-  /// First replication payload id (distinct range from the other engine
-  /// families so mixed-engine Raft logs stay readable).
-  static constexpr uint64_t kPayloadIdBase = 1'000'000'000ull;
 
  private:
   SpannerOptions options_;

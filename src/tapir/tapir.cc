@@ -1,9 +1,6 @@
 #include "tapir/tapir.h"
 
-#include <algorithm>
 #include <utility>
-
-#include "common/logging.h"
 
 namespace natto::tapir {
 
@@ -305,7 +302,7 @@ void TapirGateway::Decide(TxnId id, bool commit, obs::AbortCause cause) {
 // ---------------------------------------------------------------------------
 
 TapirEngine::TapirEngine(txn::Cluster* cluster)
-    : EngineCore(cluster, /*payload_base=*/0) {
+    : EngineCore(cluster) {
   const txn::Topology& topo = cluster_->topology();
   replicas_.resize(topo.num_partitions());
   for (int p = 0; p < topo.num_partitions(); ++p) {

@@ -112,9 +112,6 @@ class Cluster {
 
   raft::RaftGroup* group(int partition) { return groups_[partition].get(); }
 
-  /// Fresh deterministic RNG stream for a component.
-  Rng ForkRng() { return rng_.Fork(); }
-
   /// Fresh clock with the configured skew bound.
   sim::NodeClock MakeClock() {
     return sim::NodeClock::WithRandomSkew(rng_, options_.max_clock_skew);

@@ -79,12 +79,10 @@ void GatewayBase::Finish(ClientTxn& st, TxnOutcome outcome,
 
 CoordinatorBase::CoordinatorBase(Cluster* cluster, int site,
                                  sim::NodeClock clock,
-                                 raft::PayloadIdAllocator* payload_ids,
                                  const std::string& family,
                                  obs::AbortCause default_refusal)
     : net::Node(cluster->transport(), site, clock),
       cluster_(cluster),
-      payload_ids_(payload_ids),
       metric_prefix_(family + ".coord.s" + std::to_string(site) + "."),
       decisions_(cluster->metrics(), metric_prefix_),
       default_refusal_(default_refusal) {}
@@ -116,11 +114,9 @@ void CoordinatorBase::ProposeLocal(TxnId id,
   const int local_partition = cluster_->topology().PartitionLedAt(site());
   NATTO_CHECK(local_partition >= 0);
   cluster_->group(local_partition)
-      ->Propose(payload_ids_->Next(), std::move(on_committed),
-                [this, id](bool timed_out) {
-                  Refuse(id, timed_out ? obs::AbortCause::kLeaderFailover
-                                       : obs::AbortCause::kReplicationFailed);
-                });
+      ->Propose(id, std::move(on_committed), [this, id](bool timed_out) {
+        Refuse(id, LostProposalCause(timed_out));
+      });
 }
 
 }  // namespace natto::txn

@@ -1,8 +1,6 @@
 #ifndef NATTO_TXN_ENGINE_CORE_H_
 #define NATTO_TXN_ENGINE_CORE_H_
 
-#include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -17,7 +15,6 @@
 #include "net/node.h"
 #include "obs/abort_cause.h"
 #include "obs/metrics.h"
-#include "raft/raft.h"
 #include "store/kv_store.h"
 #include "txn/cluster.h"
 #include "txn/transaction.h"
@@ -198,6 +195,15 @@ struct CoordTxn {
   std::vector<std::pair<Key, Value>> writes;
 };
 
+/// The abort cause of a replication proposal that never committed:
+/// kLeaderFailover when the accepting leader died or was deposed first
+/// (`timed_out`, see RaftGroup::Propose), kReplicationFailed when no live
+/// leader accepted it.
+inline obs::AbortCause LostProposalCause(bool timed_out) {
+  return timed_out ? obs::AbortCause::kLeaderFailover
+                   : obs::AbortCause::kReplicationFailed;
+}
+
 /// The part of a coordinator that does not depend on the engine's CoordTxn
 /// type: decision counters, the client notification and local replication.
 class CoordinatorBase : public net::Node {
@@ -205,7 +211,6 @@ class CoordinatorBase : public net::Node {
   /// Registers `<family>.coord.s<site>.{commits,aborts}`. A refusal that
   /// carried no cause is attributed to `default_refusal`.
   CoordinatorBase(Cluster* cluster, int site, sim::NodeClock clock,
-                  raft::PayloadIdAllocator* payload_ids,
                   const std::string& family,
                   obs::AbortCause default_refusal = obs::AbortCause::kNone);
 
@@ -225,7 +230,7 @@ class CoordinatorBase : public net::Node {
 
   /// Makes decision data durable in the Raft group of the partition led at
   /// this site. A lost proposal refuses the transaction with
-  /// kLeaderFailover (timed out) or kReplicationFailed (no live leader).
+  /// LostProposalCause.
   void ProposeLocal(TxnId id, std::function<void()> on_committed);
 
   /// Fails the transaction (first cause wins) and decides if it has begun.
@@ -234,7 +239,6 @@ class CoordinatorBase : public net::Node {
   Cluster* cluster_;
 
  private:
-  raft::PayloadIdAllocator* payload_ids_;
   std::string metric_prefix_;
   DecisionCounters decisions_;
   obs::AbortCause default_refusal_;
@@ -337,9 +341,9 @@ class SiteNodes {
   std::unordered_map<net::NodeId, T*> by_node_;
 };
 
-/// Engine scaffolding: the per-site gateways and coordinators, Execute
-/// dispatch to the origin site's gateway, and replication payload ids.
-/// TAPIR's clients coordinate themselves, so it registers no coordinators.
+/// Engine scaffolding: the per-site gateways and coordinators, and Execute
+/// dispatch to the origin site's gateway. TAPIR's clients coordinate
+/// themselves, so it registers no coordinators.
 template <typename Gateway, typename Coordinator = net::Node>
 class EngineCore : public TxnEngine {
  public:
@@ -359,44 +363,12 @@ class EngineCore : public TxnEngine {
     return coordinators_.by_node(node);
   }
 
-  /// Hands a proposing node its own dense payload-id stripe (nodes call
-  /// this from their constructors, on the main thread). Per-node stripes
-  /// keep id allocation site-local under the site-parallel kernel, and
-  /// per-instance: two engines in one process never share stripes.
-  raft::PayloadIdAllocator* NewPayloadAllocator() {
-    return &payload_stripes_.emplace_back(
-        payload_base_, static_cast<uint32_t>(payload_stripes_.size()));
-  }
-
-  /// Stripes handed out so far (test hook for the isolation invariant).
-  uint32_t payload_stripes() const {
-    return static_cast<uint32_t>(payload_stripes_.size());
-  }
-
-  /// Payload ids issued across all stripes (test hook: equal work on equal
-  /// configs issues equal totals, and a fresh engine starts at zero).
-  uint64_t payload_ids_issued() const {
-    uint64_t total = 0;
-    for (const raft::PayloadIdAllocator& a : payload_stripes_) {
-      total += a.issued();
-    }
-    return total;
-  }
-
  protected:
-  /// `payload_base` is the engine family's first payload id; families use
-  /// distinct ranges so mixed-engine Raft logs stay readable.
-  EngineCore(Cluster* cluster, uint64_t payload_base)
-      : cluster_(cluster), payload_base_(payload_base) {}
+  explicit EngineCore(Cluster* cluster) : cluster_(cluster) {}
 
   Cluster* cluster_;
   SiteNodes<Gateway> gateways_;
   SiteNodes<Coordinator> coordinators_;
-
- private:
-  uint64_t payload_base_;
-  // A deque: nodes keep pointers to their stripe.
-  std::deque<raft::PayloadIdAllocator> payload_stripes_;
 };
 
 }  // namespace natto::txn

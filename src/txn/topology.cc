@@ -30,12 +30,6 @@ Topology Topology::Spread(int num_partitions, int num_replicas,
   return t;
 }
 
-void Topology::SetReplicaSites(int partition, std::vector<int> sites) {
-  NATTO_CHECK(partition >= 0 && partition < num_partitions());
-  NATTO_CHECK(static_cast<int>(sites.size()) == num_replicas_);
-  replica_sites_[partition] = std::move(sites);
-}
-
 std::vector<int> Topology::Participants(const std::vector<Key>& reads,
                                         const std::vector<Key>& writes) const {
   std::vector<int> out;

@@ -61,8 +61,6 @@ class Topology {
   /// the coordinator with the client).
   int PartitionLedAt(int site) const;
 
-  void SetReplicaSites(int partition, std::vector<int> sites);
-
  private:
   int num_replicas_;
   int num_sites_;

@@ -17,7 +17,7 @@ txn::TxnRequest YcsbTWorkload::Next(Rng& rng) {
     req.priority = txn::Priority::kMedium;
   }
   // Distinct keys per transaction.
-  while (static_cast<int>(req.read_set.size()) < options_.ops_per_txn) {
+  while (static_cast<int>(req.read_set.size()) < kOpsPerTxn) {
     Key k = zipf_.Next(rng);
     if (std::find(req.read_set.begin(), req.read_set.end(), k) ==
         req.read_set.end()) {

@@ -11,10 +11,12 @@ namespace natto::workload {
 /// round increments each read value.
 class YcsbTWorkload : public Workload {
  public:
+  /// Read-modify-write operations per transaction (paper: 6).
+  static constexpr int kOpsPerTxn = 6;
+
   struct Options {
     uint64_t num_keys = 1'000'000;  // paper: 1M 64-byte key-value pairs
     double zipf_theta = 0.65;       // paper default coefficient
-    int ops_per_txn = 6;
     double high_priority_fraction = 0.10;
     /// Fraction of kMedium transactions (multi-level extension; drawn after
     /// the high-priority roll fails). 0 reproduces the paper's two levels.

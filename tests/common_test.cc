@@ -6,60 +6,11 @@
 #include "common/flat_map.h"
 #include "common/logging.h"
 #include "common/rng.h"
-#include "common/status.h"
 #include "common/txn_id_set.h"
 #include "common/types.h"
 
 namespace natto {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Status / Result
-// ---------------------------------------------------------------------------
-
-TEST(StatusTest, OkByDefault) {
-  Status s;
-  EXPECT_TRUE(s.ok());
-  EXPECT_EQ(s.ToString(), "OK");
-}
-
-TEST(StatusTest, ErrorCarriesCodeAndMessage) {
-  Status s = Status::Aborted("conflict on key 7");
-  EXPECT_FALSE(s.ok());
-  EXPECT_TRUE(s.IsAborted());
-  EXPECT_EQ(s.code(), StatusCode::kAborted);
-  EXPECT_EQ(s.ToString(), "Aborted: conflict on key 7");
-}
-
-TEST(StatusTest, AllCodesHaveNames) {
-  for (StatusCode c :
-       {StatusCode::kOk, StatusCode::kInvalidArgument, StatusCode::kNotFound,
-        StatusCode::kAlreadyExists, StatusCode::kAborted,
-        StatusCode::kUnavailable, StatusCode::kInternal,
-        StatusCode::kOutOfRange, StatusCode::kFailedPrecondition}) {
-    EXPECT_STRNE(StatusCodeName(c), "Unknown");
-  }
-}
-
-TEST(ResultTest, HoldsValue) {
-  Result<int> r = 42;
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r, 42);
-  EXPECT_EQ(r.value_or(7), 42);
-}
-
-TEST(ResultTest, HoldsError) {
-  Result<int> r = Status::NotFound("missing");
-  EXPECT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsNotFound());
-  EXPECT_EQ(r.value_or(7), 7);
-}
-
-TEST(ResultTest, MoveOutValue) {
-  Result<std::string> r = std::string("hello");
-  std::string v = std::move(r).value();
-  EXPECT_EQ(v, "hello");
-}
 
 // ---------------------------------------------------------------------------
 // TxnId packing

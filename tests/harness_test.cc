@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <memory>
 
 #include "harness/client.h"
 #include "harness/experiment.h"
+#include "harness/parallel_runner.h"
 #include "harness/stats.h"
 #include "harness/systems.h"
 #include "txn/topology.h"
@@ -222,12 +224,11 @@ TEST(ClientTest, OutOfWindowTransactionsAreNotRecorded) {
 
 TEST(ClientTest, BackoffNeverExceedsConfiguredCap) {
   // Regression for the cap overshoot: jitter used to be added *after* the
-  // clamp, so the effective backoff reached 1.5x backoff_cap. The jittered
+  // clamp, so the effective backoff reached 1.5x the cap. The jittered
   // delay must now stay inside the cap for every attempt, while jitter
   // still spreads the sub-cap delays.
   Client::Options options;
   options.backoff_base = Millis(25);
-  options.backoff_cap = Seconds(2);
   SimDuration max_seen = 0;
   bool jitter_seen = false;
   for (uint32_t client = 0; client < 8; ++client) {
@@ -237,17 +238,17 @@ TEST(ClientTest, BackoffNeverExceedsConfiguredCap) {
         SimDuration d = Client::BackoffDelay(options, start, attempt);
         SimDuration exponential =
             options.backoff_base << std::min(attempt - 2, 20);
-        EXPECT_GE(d, std::min(exponential, options.backoff_cap));
-        EXPECT_LE(d, options.backoff_cap) << "cap exceeded at attempt "
-                                          << attempt;
-        if (d > exponential && exponential < options.backoff_cap) {
+        EXPECT_GE(d, std::min(exponential, Client::kBackoffCap));
+        EXPECT_LE(d, Client::kBackoffCap)
+            << "cap exceeded at attempt " << attempt;
+        if (d > exponential && exponential < Client::kBackoffCap) {
           jitter_seen = true;
         }
         max_seen = std::max(max_seen, d);
       }
     }
   }
-  EXPECT_EQ(max_seen, options.backoff_cap) << "deep retries should pin the cap";
+  EXPECT_EQ(max_seen, Client::kBackoffCap) << "deep retries should pin the cap";
   EXPECT_TRUE(jitter_seen) << "jitter never fired";
 }
 
@@ -297,6 +298,54 @@ TEST(ExperimentTest, SeedsMakeRunsReproducible) {
   for (size_t i = 0; i < a.latencies_low_ms.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.latencies_low_ms[i], b.latencies_low_ms[i]);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Environment overrides
+// ---------------------------------------------------------------------------
+
+/// A malformed or out-of-range override stops the run, naming the variable
+/// and its value, instead of being ignored. Each death statement sets the
+/// variable in the child only.
+TEST(EnvOverridesDeathTest, BadValuesFailACheck) {
+  ExperimentConfig config;
+  EXPECT_DEATH(
+      {
+        setenv("NATTO_REPEATS", "abc", /*overwrite=*/1);
+        ApplyEnvOverrides(&config);
+      },
+      "NATTO_REPEATS: not a number: 'abc'");
+  EXPECT_DEATH(
+      {
+        setenv("NATTO_DURATION_S", "2", /*overwrite=*/1);
+        ApplyEnvOverrides(&config);
+      },
+      "NATTO_DURATION_S=2 is not an integer >= 3");
+  EXPECT_DEATH(
+      {
+        setenv("NATTO_SIM_THREADS", "4x", /*overwrite=*/1);
+        ApplyEnvOverrides(&config);
+      },
+      "NATTO_SIM_THREADS=4x");
+  EXPECT_DEATH(
+      {
+        setenv("NATTO_JOBS", "0", /*overwrite=*/1);
+        DefaultJobs();
+      },
+      "NATTO_JOBS=0");
+}
+
+TEST(EnvOverridesTest, ValidValuesApply) {
+  ASSERT_EQ(setenv("NATTO_REPEATS", "3", /*overwrite=*/1), 0);
+  ASSERT_EQ(setenv("NATTO_DURATION_S", "12", /*overwrite=*/1), 0);
+  ExperimentConfig config;
+  ApplyEnvOverrides(&config);
+  ASSERT_EQ(unsetenv("NATTO_REPEATS"), 0);
+  ASSERT_EQ(unsetenv("NATTO_DURATION_S"), 0);
+  EXPECT_EQ(config.repeats, 3);
+  EXPECT_EQ(config.duration, Seconds(12));
+  EXPECT_EQ(config.warmup, Seconds(2));
+  EXPECT_EQ(config.cooldown, Seconds(2));
 }
 
 }  // namespace

@@ -6,20 +6,13 @@
 #include <thread>
 #include <vector>
 
-#include "carousel/carousel.h"
-#include "engine_test_util.h"
 #include "harness/experiment.h"
 #include "harness/parallel_runner.h"
 #include "harness/systems.h"
-#include "natto/natto.h"
-#include "spanner/spanner.h"
 #include "workload/ycsbt.h"
 
 namespace natto::harness {
 namespace {
-
-using testutil::MakeCluster;
-using testutil::ScheduleTxn;
 
 // ---------------------------------------------------------------------------
 // CellSeed
@@ -67,74 +60,6 @@ TEST(ParallelRunnerTest, DefaultJobsHonorsEnvOverride) {
   EXPECT_EQ(ParallelRunner().jobs(), 3);
   ASSERT_EQ(unsetenv("NATTO_JOBS"), 0);
   EXPECT_GE(DefaultJobs(), 1);
-}
-
-// ---------------------------------------------------------------------------
-// Engine instance isolation (the bug the runner depends on)
-// ---------------------------------------------------------------------------
-
-/// Runs `n` committed increment transactions through `engine`.
-template <typename Engine>
-void DriveTxns(txn::Cluster* cluster, Engine* engine, int n) {
-  std::vector<std::shared_ptr<testutil::TxnProbe>> probes;
-  for (int i = 0; i < n; ++i) {
-    probes.push_back(ScheduleTxn(
-        cluster, engine, Seconds(2) + Millis(400 * i), MakeTxnId(1, i + 1),
-        txn::Priority::kLow, {Key(10 + i)}, {Key(10 + i)}, 0));
-  }
-  cluster->simulator()->RunUntil(Seconds(2) + Millis(400 * n) + Seconds(4));
-  for (auto& p : probes) ASSERT_TRUE(p->committed());
-}
-
-/// Two engines of the same family in one process must consume payload ids
-/// independently. Against the old process-wide static counters this fails:
-/// the second engine continues where the first left off, so equal work would
-/// end at unequal issue totals.
-TEST(EngineIsolationTest, TwoCarouselEnginesInOneProcessDoNotShareIds) {
-  auto cluster1 = MakeCluster(7);
-  carousel::CarouselEngine engine1(cluster1.get(), carousel::CarouselOptions{});
-  EXPECT_EQ(engine1.payload_ids_issued(), 0ull);
-  DriveTxns(cluster1.get(), &engine1, 3);
-  ASSERT_GT(engine1.payload_ids_issued(), 0ull);
-
-  // A fresh engine starts from zero again, unaffected by engine1...
-  auto cluster2 = MakeCluster(7);
-  carousel::CarouselEngine engine2(cluster2.get(), carousel::CarouselOptions{});
-  EXPECT_EQ(engine2.payload_ids_issued(), 0ull);
-  EXPECT_EQ(engine1.payload_stripes(), engine2.payload_stripes());
-
-  // ...and identical work issues an identical number of ids.
-  DriveTxns(cluster2.get(), &engine2, 3);
-  EXPECT_EQ(engine1.payload_ids_issued(), engine2.payload_ids_issued());
-}
-
-/// Families anchor their per-node stripes at distinct bases, and stripes
-/// within a family are disjoint (each stripe can issue < 2^32 ids before
-/// touching the next stripe's range).
-TEST(EngineIsolationTest, EngineFamiliesKeepDistinctIdRangesPerInstance) {
-  EXPECT_EQ(raft::PayloadIdAllocator(carousel::CarouselEngine::kPayloadIdBase,
-                                     /*stripe=*/0)
-                .Next(),
-            1ull);
-  EXPECT_EQ(raft::PayloadIdAllocator(spanner::SpannerEngine::kPayloadIdBase,
-                                     /*stripe=*/0)
-                .Next(),
-            1'000'000'000ull);
-  EXPECT_EQ(raft::PayloadIdAllocator(core::NattoEngine::kPayloadIdBase,
-                                     /*stripe=*/0)
-                .Next(),
-            2'000'000'000ull);
-  // Stripe 1 starts 2^32 past stripe 0 — no overlap between proposers.
-  EXPECT_EQ(raft::PayloadIdAllocator(carousel::CarouselEngine::kPayloadIdBase,
-                                     /*stripe=*/1)
-                .Next(),
-            1ull + (1ull << 32));
-
-  // Engines hand each proposing node its own stripe at construction.
-  auto c1 = MakeCluster();
-  carousel::CarouselEngine carousel_engine(c1.get(), {});
-  EXPECT_GT(carousel_engine.payload_stripes(), 0u);
-  EXPECT_EQ(carousel_engine.payload_ids_issued(), 0ull);
 }
 
 // ---------------------------------------------------------------------------

@@ -32,9 +32,8 @@ TEST_F(RaftFixture, InitialLeaderIsSeated) {
 TEST_F(RaftFixture, CommitsAfterMajorityRoundTrip) {
   auto g = MakeGroup({0, 1, 2});  // leader VA; followers WA, PR
   SimTime committed_at = -1;
-  ASSERT_TRUE(g->leader()
-                  ->Propose(42, [&]() { committed_at = simulator.Now(); })
-                  .ok());
+  ASSERT_TRUE(
+      g->leader()->Propose(42, [&]() { committed_at = simulator.Now(); }));
   simulator.Run();
   // Majority = leader + nearest follower (WA, RTT 67 ms).
   EXPECT_EQ(committed_at, Millis(67));
@@ -57,13 +56,10 @@ TEST_F(RaftFixture, GroupCommitCoalescesWindowedProposals) {
   // Three proposals spread over 2 ms — all inside the first window.
   for (int i = 0; i < 3; ++i) {
     simulator.ScheduleAfter(Millis(i), [&]() {
-      ASSERT_TRUE(g->leader()
-                      ->Propose(1,
-                                [&]() {
-                                  ++commits;
-                                  last_commit_at = simulator.Now();
-                                })
-                      .ok());
+      ASSERT_TRUE(g->leader()->Propose(1, [&]() {
+        ++commits;
+        last_commit_at = simulator.Now();
+      }));
     });
   }
   simulator.Run();
@@ -91,7 +87,7 @@ TEST_F(RaftFixture, ZeroWindowCoalescesOnlySameInstantProposals) {
   int commits = 0;
   for (int i = 0; i < 2; ++i) {
     simulator.ScheduleAfter(Millis(i), [&]() {
-      ASSERT_TRUE(g->leader()->Propose(1, [&]() { ++commits; }).ok());
+      ASSERT_TRUE(g->leader()->Propose(1, [&]() { ++commits; }));
     });
   }
   simulator.Run();
@@ -106,15 +102,17 @@ TEST_F(RaftFixture, ZeroWindowCoalescesOnlySameInstantProposals) {
 
 TEST_F(RaftFixture, FollowerProposeIsRejected) {
   auto g = MakeGroup({0, 1, 2});
-  Status s = g->replica(1)->Propose(1, []() {});
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kUnavailable);
+  bool called = false;
+  EXPECT_FALSE(g->replica(1)->Propose(1, [&]() { called = true; }));
+  simulator.Run();
+  EXPECT_FALSE(called);
+  EXPECT_EQ(g->replica(1)->log_size(), 0u);
 }
 
 TEST_F(RaftFixture, SingleReplicaGroupCommitsImmediately) {
   auto g = MakeGroup({0});
   bool committed = false;
-  ASSERT_TRUE(g->leader()->Propose(1, [&]() { committed = true; }).ok());
+  ASSERT_TRUE(g->leader()->Propose(1, [&]() { committed = true; }));
   EXPECT_TRUE(committed);
 }
 
@@ -129,10 +127,8 @@ TEST_F(RaftFixture, ManyEntriesCommitInOrderOnAllReplicas) {
   int commits = 0;
   for (int i = 1; i <= kEntries; ++i) {
     simulator.ScheduleAfter(Millis(i), [&, i]() {
-      ASSERT_TRUE(g->leader()
-                      ->Propose(static_cast<PayloadId>(i),
-                                [&commits]() { ++commits; })
-                      .ok());
+      ASSERT_TRUE(g->leader()->Propose(static_cast<PayloadId>(i),
+                                       [&commits]() { ++commits; }));
     });
   }
   simulator.Run();
@@ -151,7 +147,7 @@ TEST_F(RaftFixture, BatchesUnderLoad) {
   int commits = 0;
   // 100 proposals in the same instant: replication must coalesce.
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(g->leader()->Propose(i, [&commits]() { ++commits; }).ok());
+    ASSERT_TRUE(g->leader()->Propose(i, [&commits]() { ++commits; }));
   }
   uint64_t before = transport.messages_sent();
   simulator.Run();
@@ -164,7 +160,7 @@ TEST_F(RaftFixture, ElectsNewLeaderAfterCrash) {
   auto g = MakeGroup({0, 1, 2});
   g->StartTimers();
   bool committed = false;
-  ASSERT_TRUE(g->leader()->Propose(7, [&]() { committed = true; }).ok());
+  ASSERT_TRUE(g->leader()->Propose(7, [&]() { committed = true; }));
   simulator.RunUntil(Seconds(1));
   EXPECT_TRUE(committed);
 
@@ -199,7 +195,7 @@ TEST_F(RaftFixture, NewLeaderAcceptsProposals) {
   }
   ASSERT_NE(new_leader, nullptr);
   bool committed = false;
-  ASSERT_TRUE(new_leader->Propose(99, [&]() { committed = true; }).ok());
+  ASSERT_TRUE(new_leader->Propose(99, [&]() { committed = true; }));
   simulator.RunUntil(Seconds(10));
   EXPECT_TRUE(committed);
 }
@@ -212,7 +208,7 @@ TEST_F(RaftFixture, MinorityPartitionedLeaderStepsDownAndCommitsResume) {
   auto g = MakeGroup({0, 1, 2});
   g->StartTimers();
   bool committed = false;
-  ASSERT_TRUE(g->leader()->Propose(1, [&]() { committed = true; }).ok());
+  ASSERT_TRUE(g->leader()->Propose(1, [&]() { committed = true; }));
   simulator.RunUntil(Seconds(1));
   ASSERT_TRUE(committed);
   ASSERT_TRUE(g->replica(0)->IsLeader());
@@ -340,7 +336,7 @@ TEST_F(RaftFixture, PreVoteIsolatedReplicaRejoinsWithoutDeposingLeader) {
 
   // The group still commits (the rejoined replica catches up).
   bool committed = false;
-  ASSERT_TRUE(g->leader()->Propose(5, [&]() { committed = true; }).ok());
+  ASSERT_TRUE(g->leader()->Propose(5, [&]() { committed = true; }));
   simulator.RunUntil(Seconds(11));
   EXPECT_TRUE(committed);
 }
@@ -386,7 +382,7 @@ TEST_F(RaftFixture, TransferLeadershipHandsOffWithoutLosingCommits) {
   }
   g->StartTimers();
   bool committed = false;
-  ASSERT_TRUE(g->leader()->Propose(1, [&]() { committed = true; }).ok());
+  ASSERT_TRUE(g->leader()->Propose(1, [&]() { committed = true; }));
   simulator.RunUntil(Seconds(1));
   ASSERT_TRUE(committed);
   ASSERT_TRUE(g->replica(0)->IsLeader());
@@ -412,7 +408,7 @@ TEST_F(RaftFixture, TransferLeadershipHandsOffWithoutLosingCommits) {
   // The group tracked the handoff and commits flow through the new leader.
   EXPECT_EQ(g->leader(), new_leader);
   bool recommitted = false;
-  ASSERT_TRUE(new_leader->Propose(2, [&]() { recommitted = true; }).ok());
+  ASSERT_TRUE(new_leader->Propose(2, [&]() { recommitted = true; }));
   simulator.RunUntil(Seconds(5));
   EXPECT_TRUE(recommitted);
 }
@@ -506,24 +502,11 @@ TEST_F(RaftFixture, CommitCallbackThatProposesTwiceFiresEachOnce) {
   auto g = MakeGroup({0, 1, 2});
   RaftReplica* leader = g->leader();
   std::vector<int> fired;
-  ASSERT_TRUE(leader
-                  ->Propose(1,
-                            [&]() {
-                              fired.push_back(1);
-                              ASSERT_TRUE(leader
-                                              ->Propose(2,
-                                                        [&]() {
-                                                          fired.push_back(2);
-                                                        })
-                                              .ok());
-                              ASSERT_TRUE(leader
-                                              ->Propose(3,
-                                                        [&]() {
-                                                          fired.push_back(3);
-                                                        })
-                                              .ok());
-                            })
-                  .ok());
+  ASSERT_TRUE(leader->Propose(1, [&]() {
+    fired.push_back(1);
+    ASSERT_TRUE(leader->Propose(2, [&]() { fired.push_back(2); }));
+    ASSERT_TRUE(leader->Propose(3, [&]() { fired.push_back(3); }));
+  }));
   simulator.Run();
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(leader->commit_index(), 3u);
@@ -536,30 +519,17 @@ TEST_F(RaftFixture, ReentrantCommitCallbacksFireInLogOrder) {
   auto g = MakeGroup({0});
   RaftReplica* leader = g->leader();
   std::vector<int> fired;
-  ASSERT_TRUE(leader
-                  ->Propose(1,
-                            [&]() {
-                              fired.push_back(1);
-                              ASSERT_TRUE(leader
-                                              ->Propose(2,
-                                                        [&]() {
-                                                          fired.push_back(2);
-                                                        })
-                                              .ok());
-                              ASSERT_TRUE(leader
-                                              ->Propose(3,
-                                                        [&]() {
-                                                          fired.push_back(3);
-                                                        })
-                                              .ok());
-                            })
-                  .ok());
+  ASSERT_TRUE(leader->Propose(1, [&]() {
+    fired.push_back(1);
+    ASSERT_TRUE(leader->Propose(2, [&]() { fired.push_back(2); }));
+    ASSERT_TRUE(leader->Propose(3, [&]() { fired.push_back(3); }));
+  }));
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
 TEST_F(RaftFixture, QuiescentWithoutTimersAfterCommit) {
   auto g = MakeGroup({0, 1, 2});
-  ASSERT_TRUE(g->leader()->Propose(1, []() {}).ok());
+  ASSERT_TRUE(g->leader()->Propose(1, []() {}));
   simulator.Run();  // must terminate (no heartbeat timers started)
   EXPECT_EQ(g->leader()->commit_index(), 1u);
 }

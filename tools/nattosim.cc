@@ -10,13 +10,13 @@
 //   nattosim --system=2pl-p --workload=retwis --rate=500 --variance=0.15
 //   nattosim --system=natto-recsf --workload=ycsbt --trace=run.json
 //   nattosim --system=carousel-fast --workload=retwis --timeline
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
 
 #include "bench_util.h"
+#include "common/parse_number.h"
 #include "harness/experiment.h"
 #include "harness/histogram.h"
 #include "harness/systems.h"
@@ -101,17 +101,6 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
     *out = arg + n + 1;
     return true;
   }
-  return false;
-}
-
-/// Parses all of `text` as a number into `out`. An empty value or trailing
-/// characters are an error that names `flag`.
-template <typename T>
-bool ParseNumber(const char* flag, const std::string& text, T* out) {
-  const char* end = text.data() + text.size();
-  auto [ptr, ec] = std::from_chars(text.data(), end, *out);
-  if (!text.empty() && ec == std::errc() && ptr == end) return true;
-  std::fprintf(stderr, "%s: not a number: '%s'\n", flag, text.c_str());
   return false;
 }
 
