@@ -1,6 +1,7 @@
 #include "harness/experiment.h"
 
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -92,12 +93,16 @@ ExperimentResult AggregateRuns(const std::string& system_name,
   result.system = system_name;
   std::vector<double> p95_high, p95_low, p99_high, p99_low, mean_high,
       mean_low, goodput_low, goodput_total, abort_fraction;
+  std::map<int, std::vector<double>> p95_by_level;
   result.metrics.runs = 0;  // accumulator: MergeFrom sums the runs back in
   for (const RunStats& run : runs) {
     p95_high.push_back(Percentile(run.latencies_high_ms, 0.95));
     p95_low.push_back(Percentile(run.latencies_low_ms, 0.95));
     p99_high.push_back(Percentile(run.latencies_high_ms, 0.99));
     p99_low.push_back(Percentile(run.latencies_low_ms, 0.99));
+    for (const auto& [level, latencies] : run.latencies_by_level_ms) {
+      p95_by_level[level].push_back(Percentile(latencies, 0.95));
+    }
     mean_high.push_back(Mean(run.latencies_high_ms));
     mean_low.push_back(Mean(run.latencies_low_ms));
     goodput_low.push_back(run.GoodputLow());
@@ -136,6 +141,9 @@ ExperimentResult AggregateRuns(const std::string& system_name,
   result.p95_low_ms = Aggregated(p95_low);
   result.p99_high_ms = Aggregated(p99_high);
   result.p99_low_ms = Aggregated(p99_low);
+  for (const auto& [level, p95s] : p95_by_level) {
+    result.p95_by_level_ms[level] = Aggregated(p95s);
+  }
   result.mean_high_ms = Aggregated(mean_high);
   result.mean_low_ms = Aggregated(mean_low);
   result.goodput_low_tps = Aggregated(goodput_low);

@@ -2,6 +2,7 @@
 #define NATTO_HARNESS_EXPERIMENT_H_
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -65,6 +66,9 @@ struct ExperimentResult {
   /// committed latencies, aggregated across repeats like the p95s).
   Aggregate p99_high_ms;
   Aggregate p99_low_ms;
+  /// p95 per priority level (txn::PriorityLevel), over the repeats that
+  /// committed a transaction of that level in their measurement window.
+  std::map<int, Aggregate> p95_by_level_ms;
   Aggregate mean_high_ms;
   Aggregate mean_low_ms;
   Aggregate goodput_low_tps;

@@ -80,22 +80,6 @@ NattoServer::NattoServer(NattoEngine* engine, int partition, int site,
   stats_.stale_retries = reg->GetCounter(prefix + "stale_retries");
 }
 
-NattoServer::Stats NattoServer::stats() const {
-  Stats s;
-  s.priority_aborts = static_cast<uint64_t>(stats_.priority_aborts->value());
-  s.pa_suppressed = static_cast<uint64_t>(stats_.pa_suppressed->value());
-  s.conditional_prepares =
-      static_cast<uint64_t>(stats_.conditional_prepares->value());
-  s.cp_satisfied = static_cast<uint64_t>(stats_.cp_satisfied->value());
-  s.cp_failed = static_cast<uint64_t>(stats_.cp_failed->value());
-  s.order_violation_aborts =
-      static_cast<uint64_t>(stats_.order_violation_aborts->value());
-  s.occ_aborts = static_cast<uint64_t>(stats_.occ_aborts->value());
-  s.recsf_forwards = static_cast<uint64_t>(stats_.recsf_forwards->value());
-  s.stale_retries = static_cast<uint64_t>(stats_.stale_retries->value());
-  return s;
-}
-
 void NattoServer::HandleReadPrepare(const NattoWireTxn& txn) {
   if (finished_.contains(txn.id)) {
     stats_.stale_retries->Inc();
@@ -997,23 +981,6 @@ SimDuration NattoEngine::MajorityReplicationDelay(int partition) const {
 Value NattoEngine::DebugValue(Key key) {
   int p = cluster_->topology().PartitionOfKey(key);
   return servers_[p]->kv()->Get(key).value;
-}
-
-NattoServer::Stats NattoEngine::TotalStats() const {
-  NattoServer::Stats total;
-  for (const auto& s : servers_) {
-    const NattoServer::Stats st = s->stats();
-    total.priority_aborts += st.priority_aborts;
-    total.pa_suppressed += st.pa_suppressed;
-    total.conditional_prepares += st.conditional_prepares;
-    total.cp_satisfied += st.cp_satisfied;
-    total.cp_failed += st.cp_failed;
-    total.order_violation_aborts += st.order_violation_aborts;
-    total.occ_aborts += st.occ_aborts;
-    total.recsf_forwards += st.recsf_forwards;
-    total.stale_retries += st.stale_retries;
-  }
-  return total;
 }
 
 }  // namespace natto::core

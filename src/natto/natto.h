@@ -77,22 +77,6 @@ class NattoServer : public net::Node {
 
   store::KvStore* kv() { return &kv_; }
 
-  /// Counter values for tests and the ablation benches. Backed by the
-  /// cluster's metrics registry (`natto.server.p<N>.<field>`); this struct
-  /// is a value snapshot assembled on demand.
-  struct Stats {
-    uint64_t priority_aborts = 0;
-    uint64_t pa_suppressed = 0;       // completion-estimate suppressions
-    uint64_t conditional_prepares = 0;
-    uint64_t cp_satisfied = 0;
-    uint64_t cp_failed = 0;
-    uint64_t order_violation_aborts = 0;
-    uint64_t occ_aborts = 0;
-    uint64_t recsf_forwards = 0;
-    uint64_t stale_retries = 0;  // duplicate attempts refused as finished
-  };
-  Stats stats() const;
-
  private:
   using Stage = TxnTable::Stage;
 
@@ -158,17 +142,18 @@ class NattoServer : public net::Node {
   /// Largest prepare timestamp per key (late-arrival ordering checks).
   std::unordered_map<Key, SimTime> key_order_ts_;
 
-  /// Registry-backed stat counters (see stats()).
+  /// This server's counters in the cluster's metrics registry, named
+  /// `natto.server.p<N>.<field>`.
   struct StatCounters {
     obs::Counter* priority_aborts;
-    obs::Counter* pa_suppressed;
+    obs::Counter* pa_suppressed;  // completion-estimate suppressions
     obs::Counter* conditional_prepares;
     obs::Counter* cp_satisfied;
     obs::Counter* cp_failed;
     obs::Counter* order_violation_aborts;
     obs::Counter* occ_aborts;
     obs::Counter* recsf_forwards;
-    obs::Counter* stale_retries;
+    obs::Counter* stale_retries;  // duplicate attempts refused as finished
   };
   StatCounters stats_;
 };
@@ -314,9 +299,6 @@ class NattoEngine : public txn::EngineCore<NattoGateway, NattoCoordinator> {
   SimDuration MajorityReplicationDelay(int partition) const;
 
   Value DebugValue(Key key) override;
-
-  /// Aggregated server stats.
-  NattoServer::Stats TotalStats() const;
 
  private:
   NattoOptions options_;

@@ -43,6 +43,20 @@ int64_t MetricsSnapshot::counter(const std::string& name) const {
   return it != counters.end() ? it->second : 0;
 }
 
+int64_t MetricsSnapshot::SumCounters(const std::string& prefix,
+                                     const std::string& suffix) const {
+  int64_t sum = 0;
+  for (const auto& [name, value] : counters) {
+    if (name.size() >= prefix.size() + suffix.size() &&
+        name.compare(0, prefix.size(), prefix) == 0 &&
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
+            0) {
+      sum += value;
+    }
+  }
+  return sum;
+}
+
 namespace {
 
 void AppendJsonString(std::string* out, const std::string& s) {

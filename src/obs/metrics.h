@@ -83,6 +83,11 @@ struct MetricsSnapshot {
 
   int64_t counter(const std::string& name) const;
 
+  /// Sum of every counter whose name starts with `prefix` and ends with
+  /// `suffix`, e.g. ("natto.server.p", ".priority_aborts") over partitions.
+  int64_t SumCounters(const std::string& prefix,
+                      const std::string& suffix) const;
+
   bool operator==(const MetricsSnapshot&) const = default;
 
   /// Stable JSON rendering (sorted keys, fixed float format).

@@ -612,19 +612,6 @@ TEST(ByteIdentityTest, EngineMetricsMatchGolden) {
 // of the engine-metrics golden never priority-abort, so this is the golden
 // that pins NattoServer's queue, abort and condition paths.
 
-/// Sum of one NattoServer counter over all partitions.
-int64_t NattoServerTotal(const RunStats& s, const std::string& field) {
-  int64_t total = 0;
-  for (const auto& [name, value] : s.metrics.counters) {
-    if (name.rfind("natto.server.p", 0) == 0 && name.size() > field.size() &&
-        name.compare(name.size() - field.size() - 1, std::string::npos,
-                     "." + field) == 0) {
-      total += value;
-    }
-  }
-  return total;
-}
-
 TEST(ByteIdentityTest, ContendedNattoMatchesGolden) {
   ExperimentConfig config = TinyConfig(250);
   config.duration = Seconds(4);
@@ -647,7 +634,8 @@ TEST(ByteIdentityTest, ContendedNattoMatchesGolden) {
     const RunStats stats = RunOnce(config, system, workload, config.seed);
     out += "== " + system.name + "\n" + RenderRunStats(stats);
     for (const char* field : kFields) {
-      totals[field] += NattoServerTotal(stats, field);
+      totals[field] +=
+          stats.metrics.SumCounters("natto.server.p", std::string(".") + field);
     }
   }
   // The cells must keep reaching the paths the golden exists to pin.

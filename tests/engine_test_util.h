@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -24,6 +25,13 @@ inline std::unique_ptr<txn::Cluster> MakeCluster(
       txn::Topology::Spread(partitions, replicas, matrix.num_sites());
   return std::make_unique<txn::Cluster>(std::move(matrix), std::move(topo),
                                         std::move(opts));
+}
+
+/// Sum over every Natto partition server of the counter
+/// `natto.server.p<N>.<field>` in the cluster's metrics registry.
+inline int64_t NattoCounter(txn::Cluster* cluster, const std::string& field) {
+  return cluster->metrics()->Snapshot().SumCounters("natto.server.p",
+                                                    "." + field);
 }
 
 /// Read-modify-write: write value+1 for every read key.

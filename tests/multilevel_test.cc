@@ -11,6 +11,7 @@ namespace natto {
 namespace {
 
 using testutil::MakeCluster;
+using testutil::NattoCounter;
 using testutil::ScheduleTxn;
 
 TEST(PriorityLevelTest, LevelsAreOrdered) {
@@ -45,7 +46,7 @@ TEST(NattoMultiLevelTest, HigherLevelsCascadePriorityAborts) {
   EXPECT_TRUE(high->committed());
   EXPECT_TRUE(medium->aborted());
   EXPECT_TRUE(low->aborted());
-  EXPECT_GE(engine.TotalStats().priority_aborts, 2u);
+  EXPECT_GE(NattoCounter(cluster.get(), "priority_aborts"), 2);
   EXPECT_EQ(engine.DebugValue(1), 1);
 }
 
@@ -77,7 +78,7 @@ TEST(NattoMultiLevelTest, SameLevelNeverPriorityAborts) {
   // Both prioritized: the later one waits (locking path), neither aborts.
   EXPECT_TRUE(m1->committed());
   EXPECT_TRUE(m2->committed());
-  EXPECT_EQ(engine.TotalStats().priority_aborts, 0u);
+  EXPECT_EQ(NattoCounter(cluster.get(), "priority_aborts"), 0);
   EXPECT_EQ(engine.DebugValue(1), 2);
 }
 

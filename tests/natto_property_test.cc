@@ -17,6 +17,7 @@ namespace natto::core {
 namespace {
 
 using testutil::MakeCluster;
+using testutil::NattoCounter;
 using testutil::ScheduleTxn;
 
 class NattoSweepTest
@@ -85,8 +86,7 @@ TEST_P(NattoSweepTest, HighPriorityNeverAbortsAndHistorySerializable) {
   // Priority aborts, if any, only targeted low-priority transactions (high
   // ones all committed above), and the order-violation path stayed quiet
   // under exact estimates.
-  NattoServer::Stats stats = engine.TotalStats();
-  EXPECT_EQ(stats.order_violation_aborts, 0u);
+  EXPECT_EQ(NattoCounter(cluster.get(), "order_violation_aborts"), 0);
 }
 
 TEST(NattoStarvationTest, PromotionAfterAbortsLetsLowCommit) {

@@ -15,6 +15,7 @@ namespace natto::core {
 namespace {
 
 using testutil::MakeCluster;
+using testutil::NattoCounter;
 using testutil::ScheduleTxn;
 
 // All scenario timings reference the Azure matrix: sites VA(0), WA(1),
@@ -274,7 +275,7 @@ TEST(NattoTest, PriorityAbortClearsQueuedLowTxn) {
   ASSERT_TRUE(high->result.has_value());
   EXPECT_TRUE(high->committed());
   EXPECT_TRUE(low->aborted());
-  EXPECT_GE(engine.TotalStats().priority_aborts, 1u);
+  EXPECT_GE(NattoCounter(cluster.get(), "priority_aborts"), 1);
   EXPECT_EQ(engine.DebugValue(1), 1);  // only the high one applied
 }
 
@@ -291,7 +292,7 @@ TEST(NattoTest, WithoutPaHighWaitsAndBothCommit) {
   ASSERT_TRUE(high->result.has_value());
   EXPECT_TRUE(low->committed());
   EXPECT_TRUE(high->committed());
-  EXPECT_EQ(engine.TotalStats().priority_aborts, 0u);
+  EXPECT_EQ(NattoCounter(cluster.get(), "priority_aborts"), 0);
   // The high transaction waited for the low one's full commit.
   EXPECT_EQ(high->result->reads[0].value, 1);
   EXPECT_EQ(engine.DebugValue(1), 2);
@@ -317,7 +318,7 @@ TEST(NattoTest, PaSuppressedWhenLowFinishesInTime) {
   ASSERT_TRUE(high->result.has_value());
   EXPECT_TRUE(low->committed());
   EXPECT_TRUE(high->committed());
-  EXPECT_EQ(engine.TotalStats().priority_aborts, 0u);
+  EXPECT_EQ(NattoCounter(cluster.get(), "priority_aborts"), 0);
 }
 
 // --- Conditional prepare (Fig 4) --------------------------------------------
@@ -340,11 +341,10 @@ TEST(NattoTest, ConditionalPrepareAfterRemotePriorityAbort) {
   ASSERT_TRUE(high->result.has_value());
   EXPECT_TRUE(low->aborted());
   EXPECT_TRUE(high->committed());
-  NattoServer::Stats stats = engine.TotalStats();
-  EXPECT_GE(stats.priority_aborts, 1u);
-  EXPECT_GE(stats.conditional_prepares, 1u);
-  EXPECT_GE(stats.cp_satisfied, 1u);
-  EXPECT_EQ(stats.cp_failed, 0u);
+  EXPECT_GE(NattoCounter(cluster.get(), "priority_aborts"), 1);
+  EXPECT_GE(NattoCounter(cluster.get(), "conditional_prepares"), 1);
+  EXPECT_GE(NattoCounter(cluster.get(), "cp_satisfied"), 1);
+  EXPECT_EQ(NattoCounter(cluster.get(), "cp_failed"), 0);
   // The high transaction read pre-low state everywhere.
   for (const auto& r : high->result->reads) EXPECT_EQ(r.value, 0);
   EXPECT_EQ(engine.DebugValue(1), 1);
@@ -362,7 +362,7 @@ TEST(NattoTest, WithoutCpHighWaitsForAbortAcknowledgement) {
   cluster->simulator()->RunUntil(Seconds(8));
   ASSERT_TRUE(high->result.has_value());
   EXPECT_TRUE(high->committed());
-  EXPECT_EQ(engine.TotalStats().conditional_prepares, 0u);
+  EXPECT_EQ(NattoCounter(cluster.get(), "conditional_prepares"), 0);
 }
 
 TEST(NattoTest, CpIsFasterThanWaiting) {
@@ -416,12 +416,11 @@ TEST(NattoTest, FailedConditionalPrepareWaitsAndReadsTheBlocker) {
                           MakeTxnId(2, 1), txn::Priority::kHigh, {1, 2, 4},
                           {1, 2, 4}, 1);
   cluster->simulator()->RunUntil(Seconds(8));
-  NattoServer::Stats stats = engine.TotalStats();
-  EXPECT_EQ(stats.pa_suppressed, 1u);
-  EXPECT_EQ(stats.priority_aborts, 0u);
-  EXPECT_EQ(stats.conditional_prepares, 1u);
-  EXPECT_EQ(stats.cp_satisfied, 0u);
-  EXPECT_EQ(stats.cp_failed, 1u);
+  EXPECT_EQ(NattoCounter(cluster.get(), "pa_suppressed"), 1);
+  EXPECT_EQ(NattoCounter(cluster.get(), "priority_aborts"), 0);
+  EXPECT_EQ(NattoCounter(cluster.get(), "conditional_prepares"), 1);
+  EXPECT_EQ(NattoCounter(cluster.get(), "cp_satisfied"), 0);
+  EXPECT_EQ(NattoCounter(cluster.get(), "cp_failed"), 1);
   ASSERT_TRUE(low->committed());
   ASSERT_TRUE(high->committed());
   for (const auto& r : high->result->reads) {
@@ -475,7 +474,7 @@ TEST(NattoTest, RecsfForwardsReadsOfBlockedHighTxn) {
   cluster->simulator()->RunUntil(Seconds(8));
   ASSERT_TRUE(blocker->committed());
   ASSERT_TRUE(high->committed());
-  EXPECT_GE(engine.TotalStats().recsf_forwards, 1u);
+  EXPECT_GE(NattoCounter(cluster.get(), "recsf_forwards"), 1);
   EXPECT_EQ(high->result->reads[0].value, 1);  // read the blocker's write
   EXPECT_EQ(engine.DebugValue(2), 2);
 }
@@ -496,8 +495,9 @@ TEST(NattoTest, LateArrivalAbortsOnOrderViolation) {
                 MakeTxnId(1, 100 + i), txn::Priority::kLow, {2}, {2}, i % 5);
   }
   cluster->simulator()->RunUntil(Seconds(12));
-  NattoServer::Stats stats = engine.TotalStats();
-  EXPECT_GT(stats.order_violation_aborts + stats.occ_aborts, 0u);
+  EXPECT_GT(NattoCounter(cluster.get(), "order_violation_aborts") +
+                NattoCounter(cluster.get(), "occ_aborts"),
+            0);
 }
 
 TEST(NattoTest, UserAbortReleasesEverything) {

@@ -148,6 +148,16 @@ TEST(MetricsTest, GetOrCreateSharesInstrumentsAndSnapshotsMerge) {
   std::string json = merged.ToJson();
   EXPECT_NE(json.find("\"x.count\":10"), std::string::npos);
   EXPECT_EQ(json, merged.ToJson());
+
+  // SumCounters adds the counters named <prefix>...<suffix>; the prefix and
+  // the suffix may not overlap.
+  reg.GetCounter("p1.x")->Inc(4);
+  reg.GetCounter("p2.x")->Inc(6);
+  reg.GetCounter("p2.y")->Inc(1);
+  obs::MetricsSnapshot t = reg.Snapshot();
+  EXPECT_EQ(t.SumCounters("p", ".x"), 10);
+  EXPECT_EQ(t.SumCounters("p2", ""), 7);
+  EXPECT_EQ(t.SumCounters("p2.x", ".x"), 0);
 }
 
 ExperimentConfig ContendedConfig() {
