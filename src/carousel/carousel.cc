@@ -6,16 +6,62 @@
 
 namespace natto::carousel {
 
+namespace {
+
+/// The (key, version) pairs of `results`, in order.
+std::vector<std::pair<Key, uint64_t>> VersionsOf(
+    const std::vector<txn::ReadResult>& results) {
+  std::vector<std::pair<Key, uint64_t>> versions;
+  versions.reserve(results.size());
+  for (const txn::ReadResult& r : results) {
+    versions.emplace_back(r.key, r.version);
+  }
+  return versions;
+}
+
+/// Replicates the prepare record of `id`, whose footprint `prepared`
+/// already holds, through `partition`'s Raft group inside the trace span
+/// `span`, then calls vote(ok, cause): yes once the record is durable. A
+/// lost proposal counts on `lost`, drops the footprint and votes no with
+/// LostProposalCause.
+template <typename Vote>
+void ReplicateThenVote(net::Node* self, txn::Cluster* cluster, int partition,
+                       store::PreparedSet* prepared, TxnId id,
+                       const char* span, obs::Counter* lost, Vote vote) {
+  if (obs::Tracer* tr = cluster->tracer()) {
+    tr->SpanBegin(id, span, partition, self->TrueNow());
+  }
+  cluster->group(partition)->Propose(
+      id,
+      [self, cluster, partition, id, span, vote]() {
+        if (obs::Tracer* tr = cluster->tracer()) {
+          tr->SpanEnd(id, span, partition, self->TrueNow());
+        }
+        vote(true, obs::AbortCause::kNone);
+      },
+      [self, cluster, partition, prepared, id, span, lost,
+       vote](bool timed_out) {
+        lost->Inc();
+        obs::AbortCause cause = txn::LostProposalCause(timed_out);
+        if (obs::Tracer* tr = cluster->tracer()) {
+          tr->SpanEnd(id, span, partition, self->TrueNow());
+          tr->AttributeAbort(id, cause);
+        }
+        prepared->Remove(id);
+        vote(false, cause);
+      });
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // CarouselServer (basic-path partition leader)
 // ---------------------------------------------------------------------------
 
 CarouselServer::CarouselServer(CarouselEngine* engine, int partition, int site,
                                sim::NodeClock clock)
-    : net::Node(engine->cluster()->transport(), site, clock),
-      engine_(engine),
-      partition_(partition),
-      kv_(engine->cluster()->options().default_value) {
+    : OccParticipant(engine->cluster(), partition, site, clock),
+      engine_(engine) {
   obs::MetricsRegistry* m = engine->cluster()->metrics();
   const std::string prefix =
       "carousel.server.p" + std::to_string(partition) + ".";
@@ -32,31 +78,27 @@ void CarouselServer::HandleReadPrepare(const WireTxn& txn) {
   TxnId id = txn.id;
   net::NodeId coord = txn.coordinator;
   int partition = partition_;
+  auto* co = engine_->coordinator_by_node(coord);
+  auto vote = [this, co, coord, id, partition](bool ok,
+                                               obs::AbortCause cause) {
+    SendTo(coord, kMessageHeaderBytes, [co, id, partition, ok, cause]() {
+      co->HandleVote(id, partition, ok, {}, cause);
+    });
+  };
 
-  if (finished_.contains(id) || prepared_.HasConflict(reads, writes)) {
-    // OCC conflict (or the txn already aborted): vote no. No read results.
+  if (obs::AbortCause cause = Check(id, reads, writes);
+      cause != obs::AbortCause::kNone) {
+    // OCC conflict (or the txn already finished): vote no. No read results.
     // In the basic protocol one no vote aborts the transaction, so the
     // abort is attributed here at its origin.
-    obs::AbortCause cause;
-    if (finished_.contains(id)) {
-      stale_vote_no_->Inc();
-      cause = obs::AbortCause::kStaleRetry;
-    } else {
-      occ_vote_no_->Inc();
-      cause = obs::AbortCause::kOccConflict;
-    }
+    const bool conflict = cause == obs::AbortCause::kOccConflict;
+    (conflict ? occ_vote_no_ : stale_vote_no_)->Inc();
     if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-      tr->Instant(id,
-                  cause == obs::AbortCause::kOccConflict
-                      ? "occ_conflict"
-                      : "stale_retry_refused",
+      tr->Instant(id, conflict ? "occ_conflict" : "stale_retry_refused",
                   partition, TrueNow());
       tr->AttributeAbort(id, cause);
     }
-    auto* co = engine_->coordinator_by_node(coord);
-    SendTo(coord, kMessageHeaderBytes, [co, id, partition, cause]() {
-      co->HandleVote(id, partition, /*ok=*/false, {}, cause);
-    });
+    vote(false, cause);
     return;
   }
 
@@ -72,32 +114,8 @@ void CarouselServer::HandleReadPrepare(const WireTxn& txn) {
          });
 
   // Replicate the prepare record; vote once durable.
-  if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-    tr->SpanBegin(id, "prepare", partition_, TrueNow());
-  }
-  auto* co = engine_->coordinator_by_node(coord);
-  engine_->cluster()->group(partition_)->Propose(
-      id,
-      [this, co, coord, id, partition]() {
-        if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-          tr->SpanEnd(id, "prepare", partition, TrueNow());
-        }
-        SendTo(coord, kMessageHeaderBytes, [co, id, partition]() {
-          co->HandleVote(id, partition, /*ok=*/true);
-        });
-      },
-      [this, co, coord, id, partition](bool timed_out) {
-        replication_fail_vote_no_->Inc();
-        obs::AbortCause cause = txn::LostProposalCause(timed_out);
-        if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-          tr->SpanEnd(id, "prepare", partition_, TrueNow());
-          tr->AttributeAbort(id, cause);
-        }
-        prepared_.Remove(id);
-        SendTo(coord, kMessageHeaderBytes, [co, id, partition, cause]() {
-          co->HandleVote(id, partition, /*ok=*/false, {}, cause);
-        });
-      });
+  ReplicateThenVote(this, engine_->cluster(), partition_, &prepared_, id,
+                    "prepare", replication_fail_vote_no_, vote);
 }
 
 void CarouselServer::HandleCommit(TxnId id,
@@ -110,15 +128,8 @@ void CarouselServer::HandleCommit(TxnId id,
   // data must eventually replicate even across leader changes.
   engine_->cluster()->group(partition_)->ProposeWithRetry(
       id, [this, id, writes = std::move(writes)]() {
-        for (const auto& [k, v] : writes) kv_.Apply(k, v, id);
-        prepared_.Remove(id);
-        finished_.insert(id);
+        OccParticipant::HandleCommit(id, writes);
       });
-}
-
-void CarouselServer::HandleAbort(TxnId id) {
-  prepared_.Remove(id);
-  finished_.insert(id);
 }
 
 // ---------------------------------------------------------------------------
@@ -128,11 +139,9 @@ void CarouselServer::HandleAbort(TxnId id) {
 CarouselFastReplica::CarouselFastReplica(CarouselEngine* engine, int partition,
                                          int replica, int site,
                                          sim::NodeClock clock)
-    : net::Node(engine->cluster()->transport(), site, clock),
+    : OccParticipant(engine->cluster(), partition, site, clock),
       engine_(engine),
-      partition_(partition),
-      replica_(replica),
-      kv_(engine->cluster()->options().default_value) {
+      replica_(replica) {
   obs::MetricsRegistry* m = engine->cluster()->metrics();
   const std::string prefix = "carousel.replica.p" + std::to_string(partition) +
                              ".r" + std::to_string(replica) + ".";
@@ -150,26 +159,21 @@ void CarouselFastReplica::HandleReadPrepare(const WireTxn& txn) {
   auto* co = engine_->coordinator_by_node(txn.coordinator);
   int partition = partition_;
 
-  bool ok = !finished_.contains(id) && !prepared_.HasConflict(reads, writes);
   // A fast no vote is not yet an abort (the slow path may still prepare),
   // so the cause travels with the vote and is attributed only if the
   // coordinator actually decides to abort.
-  obs::AbortCause cause = obs::AbortCause::kNone;
-  if (!ok) {
+  const obs::AbortCause cause = Check(id, reads, writes);
+  const bool ok = cause == obs::AbortCause::kNone;
+  if (ok) {
+    prepared_.Add(id, reads, writes);
+  } else {
     fast_vote_no_->Inc();
-    cause = finished_.contains(id) ? obs::AbortCause::kStaleRetry
-                                   : obs::AbortCause::kOccConflict;
   }
-  if (ok) prepared_.Add(id, reads, writes);
   // Each replica serves reads from its (possibly stale) local state even
   // when its prepare vote is no — the client needs round 1 to complete so
   // the slow-path fallback can validate the read versions at the leader.
   std::vector<txn::ReadResult> results = txn::ReadAll(kv_, reads);
-  std::vector<std::pair<Key, uint64_t>> versions;
-  versions.reserve(results.size());
-  for (const txn::ReadResult& r : results) {
-    versions.emplace_back(r.key, r.version);
-  }
+  std::vector<std::pair<Key, uint64_t>> versions = VersionsOf(results);
   auto* gw = engine_->gateway_by_node(txn.client);
   SendTo(txn.client, WireKvBytes(results.size()),
          [gw, id, partition, results]() {
@@ -214,15 +218,15 @@ void CarouselFastReplica::HandleSlowPrepare(
   // against the leader's committed state. This must happen even when the
   // leader itself fast-prepared the transaction — the leader's own reads
   // may have been fresher than the (first-reply) reads the client used.
-  for (const auto& [k, version] : read_versions) {
-    if (kv_.Get(k).version > version) {
-      slow_stale_read_->Inc();
-      refuse(id, obs::AbortCause::kFastPathFailed, "slow_validation_fail");
-      return;
-    }
+  if (!ReadsCurrent(read_versions)) {
+    slow_stale_read_->Inc();
+    refuse(id, obs::AbortCause::kFastPathFailed, "slow_validation_fail");
+    return;
   }
   if (prepared_.Contains(id)) {
-    // Already prepared here by the fast round; versions checked above.
+    // Already prepared here by the fast round; versions checked above. This
+    // test must precede the conflict test: a footprint conflicts with
+    // itself.
     vote(true, obs::AbortCause::kNone);
     return;
   }
@@ -231,41 +235,8 @@ void CarouselFastReplica::HandleSlowPrepare(
     return;
   }
   prepared_.Add(id, read_keys, write_keys);
-  if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-    tr->SpanBegin(id, "slow_prepare", partition_, TrueNow());
-  }
-  engine_->cluster()->group(partition_)->Propose(
-      id,
-      [this, vote, id, partition]() {
-        if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-          tr->SpanEnd(id, "slow_prepare", partition, TrueNow());
-        }
-        vote(true, obs::AbortCause::kNone);
-      },
-      [this, vote, id, partition](bool timed_out) {
-        slow_vote_no_->Inc();
-        obs::AbortCause cause = txn::LostProposalCause(timed_out);
-        if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-          tr->SpanEnd(id, "slow_prepare", partition, TrueNow());
-          tr->AttributeAbort(id, cause);
-        }
-        prepared_.Remove(id);
-        vote(false, cause);
-      });
-}
-
-void CarouselFastReplica::HandleCommit(
-    TxnId id, std::vector<std::pair<Key, Value>> writes) {
-  if (finished_.contains(id)) return;
-  // All replicas hold the prepare; the commit applies directly.
-  for (const auto& [k, v] : writes) kv_.Apply(k, v, id);
-  prepared_.Remove(id);
-  finished_.insert(id);
-}
-
-void CarouselFastReplica::HandleAbort(TxnId id) {
-  prepared_.Remove(id);
-  finished_.insert(id);
+  ReplicateThenVote(this, engine_->cluster(), partition_, &prepared_, id,
+                    "slow_prepare", slow_vote_no_, vote);
 }
 
 // ---------------------------------------------------------------------------
@@ -496,11 +467,7 @@ void CarouselGateway::SendRound2(TxnId id, txn::ClientTxn& st,
   }
   // Versions of the reads the writes were computed from; the fast path's
   // slow fallback validates them at the partition leader.
-  std::vector<std::pair<Key, uint64_t>> versions;
-  versions.reserve(ordered.size());
-  for (const txn::ReadResult& r : ordered) {
-    versions.emplace_back(r.key, r.version);
-  }
+  std::vector<std::pair<Key, uint64_t>> versions = VersionsOf(ordered);
   SendTo(coord->id(), txn::kRound2Bytes + versions.size() * 8,
          [coord, id, writes = st.writes, versions]() {
            coord->HandleCommitRequest(id, writes, versions,

@@ -9,13 +9,10 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/txn_id_set.h"
 #include "net/node.h"
 #include "obs/abort_cause.h"
 #include "obs/metrics.h"
 #include "raft/raft.h"
-#include "store/kv_store.h"
-#include "store/prepared_set.h"
 #include "txn/cluster.h"
 #include "txn/engine_core.h"
 #include "txn/transaction.h"
@@ -44,23 +41,18 @@ class CarouselEngine;
 
 /// Partition leader for the basic protocol: serves reads with OCC, prepares
 /// via Raft, applies committed writes after replicating them.
-class CarouselServer : public net::Node {
+class CarouselServer : public txn::OccParticipant {
  public:
   CarouselServer(CarouselEngine* engine, int partition, int site,
                  sim::NodeClock clock);
 
   void HandleReadPrepare(const WireTxn& txn);
+  /// Replicates the write data, then commits it (OccParticipant's
+  /// HandleCommit); a no-op once the id has finished.
   void HandleCommit(TxnId id, std::vector<std::pair<Key, Value>> writes);
-  void HandleAbort(TxnId id);
-
-  store::KvStore* kv() { return &kv_; }
 
  private:
   CarouselEngine* engine_;
-  int partition_;
-  store::KvStore kv_;
-  store::PreparedSet prepared_;
-  TxnIdSet finished_;  // tombstones for late arrivals
 
   // Registered under carousel.server.p<N>.
   obs::Counter* occ_vote_no_ = nullptr;
@@ -71,7 +63,7 @@ class CarouselServer : public net::Node {
 /// One replica in the fast path: validates and votes independently; applies
 /// writes when the coordinator commits. The leader replica (index 0)
 /// additionally arbitrates the slow path when the fast quorum fails.
-class CarouselFastReplica : public net::Node {
+class CarouselFastReplica : public txn::OccParticipant {
  public:
   CarouselFastReplica(CarouselEngine* engine, int partition, int replica,
                       int site, sim::NodeClock clock);
@@ -86,18 +78,9 @@ class CarouselFastReplica : public net::Node {
                          std::vector<Key> read_keys,
                          std::vector<Key> write_keys);
 
-  void HandleCommit(TxnId id, std::vector<std::pair<Key, Value>> writes);
-  void HandleAbort(TxnId id);
-
-  store::KvStore* kv() { return &kv_; }
-
  private:
   CarouselEngine* engine_;
-  int partition_;
   int replica_;
-  store::KvStore kv_;
-  store::PreparedSet prepared_;
-  TxnIdSet finished_;
 
   // Registered under carousel.replica.p<N>.r<M>.
   obs::Counter* fast_vote_no_ = nullptr;

@@ -13,7 +13,7 @@ namespace natto {
 /// addressing with linear probing over one power-of-two array that doubles
 /// at half load, as in TxnIdSet. Erase shifts the rest of the probe run
 /// back instead of leaving a tombstone, so once the array has grown,
-/// inserts and erases never allocate.
+/// inserts and erases never allocate (beyond what a value itself owns).
 ///
 /// Nothing iterates the slots, so the hash layout can never reach output.
 /// A pointer from find() or a reference from operator[] is valid until the
@@ -59,7 +59,7 @@ class FlatMap {
         hole = j;
       }
     }
-    slots_[hole].used = false;
+    slots_[hole] = Slot{};  // releases what the value owned
     --size_;
     return true;
   }

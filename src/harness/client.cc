@@ -76,12 +76,11 @@ void Client::ScheduleNext() {
 void Client::BeginTransaction() {
   txn::TxnRequest req = workload_->Next(rng_);
   req.origin_site = options_.origin_site;
-  txn::Priority original = req.priority;
-  Attempt(std::move(req), simulator_->Now(), /*attempt=*/1, original);
+  Attempt(std::move(req), simulator_->Now(), /*attempt=*/1);
 }
 
-void Client::Attempt(txn::TxnRequest request, SimTime first_start, int attempt,
-                     txn::Priority original_priority) {
+void Client::Attempt(txn::TxnRequest request, SimTime first_start,
+                     int attempt) {
   if (options_.route_origin) {
     int routed = options_.route_origin(options_.origin_site);
     if (routed != request.origin_site) {
@@ -96,36 +95,32 @@ void Client::Attempt(txn::TxnRequest request, SimTime first_start, int attempt,
   if (options_.request_timeout <= 0 && !hedging) {
     // Fault-free fast path: no completion token, no timer — the engine
     // callback chain is identical to the pre-timeout client.
-    engine_->Execute(request,
-                     [this, request, first_start, attempt,
-                      original_priority](const txn::TxnResult& result) {
-                       HandleOutcome(result, request, first_start, attempt,
-                                     original_priority);
-                     });
+    engine_->Execute(request, [this, request, first_start,
+                               attempt](const txn::TxnResult& result) {
+      HandleOutcome(result, request, first_start, attempt);
+    });
     return;
   }
   // One token settles the whole attempt: primary outcome, hedge outcome and
   // timeout race for it, first one wins, the others see *settled and drop
   // their response on the floor (exactly-once toward stats and retries).
   auto settled = std::make_shared<bool>(false);
-  const bool high = txn::IsPrioritized(original_priority);
+  const bool high = txn::IsPrioritized(request.priority);
   SimTime attempt_start = simulator_->Now();
   engine_->Execute(request,
                    [this, settled, request, first_start, attempt,
-                    original_priority, attempt_start,
-                    high](const txn::TxnResult& result) {
+                    attempt_start, high](const txn::TxnResult& result) {
                      if (*settled) return;  // lost the race; late response
                      *settled = true;
                      RecordAttemptLatency(high,
                                           simulator_->Now() - attempt_start);
-                     HandleOutcome(result, request, first_start, attempt,
-                                   original_priority);
+                     HandleOutcome(result, request, first_start, attempt);
                    });
   if (hedging) {
     simulator_->ScheduleAfter(
         HedgeDelay(high),
-        [this, settled, request, first_start, attempt, original_priority,
-         attempt_start, high]() mutable {
+        [this, settled, request, first_start, attempt, attempt_start,
+         high]() mutable {
           if (*settled) return;
           // Re-issue under a fresh txn id (the engine keys execution state
           // by id; the hedge is a second, independent transaction whose
@@ -138,25 +133,23 @@ void Client::Attempt(txn::TxnRequest request, SimTime first_start, int attempt,
           if (hedges_ != nullptr) hedges_->Inc();
           engine_->Execute(
               hedge, [this, settled, hedge, first_start, attempt,
-                      original_priority, attempt_start,
-                      high](const txn::TxnResult& result) {
+                      attempt_start, high](const txn::TxnResult& result) {
                 if (*settled) return;
                 *settled = true;
                 if (hedge_wins_ != nullptr) hedge_wins_->Inc();
                 RecordAttemptLatency(high,
                                      simulator_->Now() - attempt_start);
-                HandleOutcome(result, hedge, first_start, attempt,
-                              original_priority);
+                HandleOutcome(result, hedge, first_start, attempt);
               });
         });
   }
   if (options_.request_timeout > 0) {
     simulator_->ScheduleAfter(
         options_.request_timeout,
-        [this, settled, request, first_start, attempt, original_priority]() {
+        [this, settled, request, first_start, attempt]() {
           if (*settled) return;
           *settled = true;
-          HandleTimeout(request, first_start, attempt, original_priority);
+          HandleTimeout(request, first_start, attempt);
         });
   }
 }
@@ -190,7 +183,7 @@ void Client::RecordAttemptLatency(bool high, SimDuration latency) {
 
 void Client::HandleOutcome(const txn::TxnResult& result,
                            txn::TxnRequest request, SimTime first_start,
-                           int attempt, txn::Priority original_priority) {
+                           int attempt) {
   bool in_window = first_start >= options_.measure_start &&
                    first_start < options_.measure_end;
   switch (result.outcome) {
@@ -201,8 +194,8 @@ void Client::HandleOutcome(const txn::TxnResult& result,
         // plain counters are neither thread-safe nor order-insensitive
         // (Mean() sums doubles in push order), so clients on different site
         // lanes record through DeferOrdered. Serial runs execute inline.
-        const bool high = txn::IsPrioritized(original_priority);
-        const int level = txn::PriorityLevel(original_priority);
+        const bool high = txn::IsPrioritized(request.priority);
+        const int level = txn::PriorityLevel(request.priority);
         simulator_->DeferOrdered([stats = stats_, latency_ms, high, level]() {
           if (high) {
             stats->latencies_high_ms.push_back(latency_ms);
@@ -238,30 +231,14 @@ void Client::HandleOutcome(const txn::TxnResult& result,
         abort_cause_[static_cast<int>(result.abort_cause)]->Inc();
       }
       RecordTimelineAbort(/*timeout=*/false);
-      if (attempt >= options_.max_attempts) {
-        if (in_window) {
-          const bool high = txn::IsPrioritized(original_priority);
-          simulator_->DeferOrdered([stats = stats_, high]() {
-            ++stats->failed;
-            ++(high ? stats->failed_high : stats->failed_low);
-          });
-        }
-        return;
-      }
-      txn::TxnRequest retry = std::move(request);
-      if (options_.promote_after_aborts > 0 &&
-          attempt >= options_.promote_after_aborts) {
-        retry.priority = txn::Priority::kHigh;
-      }
-      RetryAfterBackoff(std::move(retry), first_start, attempt + 1,
-                        original_priority);
+      RetryOrFail(std::move(request), first_start, attempt, in_window);
       return;
     }
   }
 }
 
 void Client::HandleTimeout(txn::TxnRequest request, SimTime first_start,
-                           int attempt, txn::Priority original_priority) {
+                           int attempt) {
   bool in_window = first_start >= options_.measure_start &&
                    first_start < options_.measure_end;
   simulator_->DeferOrdered([stats = stats_, in_window]() {
@@ -272,9 +249,14 @@ void Client::HandleTimeout(txn::TxnRequest request, SimTime first_start,
     abort_cause_[static_cast<int>(obs::AbortCause::kTimeout)]->Inc();
   }
   RecordTimelineAbort(/*timeout=*/true);
+  RetryOrFail(std::move(request), first_start, attempt, in_window);
+}
+
+void Client::RetryOrFail(txn::TxnRequest request, SimTime first_start,
+                         int attempt, bool in_window) {
   if (attempt >= options_.max_attempts) {
     if (in_window) {
-      const bool high = txn::IsPrioritized(original_priority);
+      const bool high = txn::IsPrioritized(request.priority);
       simulator_->DeferOrdered([stats = stats_, high]() {
         ++stats->failed;
         ++(high ? stats->failed_high : stats->failed_low);
@@ -282,29 +264,17 @@ void Client::HandleTimeout(txn::TxnRequest request, SimTime first_start,
     }
     return;
   }
-  txn::TxnRequest retry = std::move(request);
-  if (options_.promote_after_aborts > 0 &&
-      attempt >= options_.promote_after_aborts) {
-    retry.priority = txn::Priority::kHigh;
-  }
-  RetryAfterBackoff(std::move(retry), first_start, attempt + 1,
-                    original_priority);
-}
-
-void Client::RetryAfterBackoff(txn::TxnRequest request, SimTime first_start,
-                               int next_attempt,
-                               txn::Priority original_priority) {
+  const int next_attempt = attempt + 1;
   if (options_.backoff_base <= 0) {
     // The paper's client: retry immediately (Sec 5.1).
-    Attempt(std::move(request), first_start, next_attempt, original_priority);
+    Attempt(std::move(request), first_start, next_attempt);
     return;
   }
   SimDuration delay = BackoffDelay(options_, first_start, next_attempt);
   simulator_->ScheduleAfter(
-      delay, [this, request = std::move(request), first_start, next_attempt,
-              original_priority]() mutable {
-        Attempt(std::move(request), first_start, next_attempt,
-                original_priority);
+      delay, [this, request = std::move(request), first_start,
+              next_attempt]() mutable {
+        Attempt(std::move(request), first_start, next_attempt);
       });
 }
 

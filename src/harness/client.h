@@ -33,9 +33,6 @@ class Client {
     SimTime measure_start = 0;
     SimTime measure_end = 0;
     int max_attempts = 100;
-    /// Starvation-avoidance extension (Sec 3.3.1 future work): promote a
-    /// low-priority transaction to high after this many aborts (0 = off).
-    int promote_after_aborts = 0;
 
     /// Per-attempt request timeout (0 = off). An attempt with no outcome
     /// after this long counts as an abort with AbortCause::kTimeout and is
@@ -113,20 +110,20 @@ class Client {
  private:
   void ScheduleNext();
   void BeginTransaction();
-  void Attempt(txn::TxnRequest request, SimTime first_start, int attempt,
-               txn::Priority original_priority);
+  void Attempt(txn::TxnRequest request, SimTime first_start, int attempt);
   /// Records a settled attempt's latency into the per-priority hedge
   /// observation window (no-op when hedging is off).
   void RecordAttemptLatency(bool high, SimDuration latency);
   void HandleOutcome(const txn::TxnResult& result, txn::TxnRequest request,
-                     SimTime first_start, int attempt,
-                     txn::Priority original_priority);
+                     SimTime first_start, int attempt);
   void HandleTimeout(txn::TxnRequest request, SimTime first_start,
-                     int attempt, txn::Priority original_priority);
-  /// Schedules the next attempt after the configured backoff (immediately,
-  /// synchronously, when backoff is off — the paper's retry loop).
-  void RetryAfterBackoff(txn::TxnRequest request, SimTime first_start,
-                         int next_attempt, txn::Priority original_priority);
+                     int attempt);
+  /// Ends an aborted or timed-out attempt: records the transaction as
+  /// failed once it has made max_attempts attempts, else schedules the next
+  /// attempt after the configured backoff (immediately, synchronously, when
+  /// backoff is off — the paper's retry loop).
+  void RetryOrFail(txn::TxnRequest request, SimTime first_start, int attempt,
+                   bool in_window);
   void RecordTimelineCommit(double latency_ms);
   void RecordTimelineAbort(bool timeout);
 

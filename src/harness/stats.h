@@ -22,9 +22,9 @@ struct RunStats {
   int64_t aborted_attempts = 0;  // system aborts (each retry counts once)
   int64_t user_aborted = 0;
   int64_t failed = 0;  // gave up after the retry limit
-  /// Per-priority split of `failed`, keyed by the transaction's *original*
-  /// priority (promotion doesn't move a txn between buckets). The gray-
-  /// failure experiments report availability per priority class from these.
+  /// Per-priority split of `failed`, keyed by the transaction's priority.
+  /// The gray-failure experiments report availability per priority class
+  /// from these.
   int64_t failed_high = 0;
   int64_t failed_low = 0;
   /// Attempts that hit the client's per-attempt request timeout (a subset

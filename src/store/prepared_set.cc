@@ -8,18 +8,18 @@ namespace natto::store {
 
 void PreparedSet::Add(TxnId txn, const std::vector<Key>& reads,
                       const std::vector<Key>& writes) {
-  NATTO_DCHECK(!footprints_.contains(txn));
+  NATTO_DCHECK(!Contains(txn));
   footprints_[txn] = Footprint{reads, writes};
   for (Key k : reads) uses_.Add(k, Use{txn, /*writes=*/false});
   for (Key k : writes) uses_.Add(k, Use{txn, /*writes=*/true});
 }
 
 void PreparedSet::Remove(TxnId txn) {
-  auto it = footprints_.find(txn);
-  if (it == footprints_.end()) return;
-  for (Key k : it->second.reads) uses_.Remove(k, Use{txn, /*writes=*/false});
-  for (Key k : it->second.writes) uses_.Remove(k, Use{txn, /*writes=*/true});
-  footprints_.erase(it);
+  const Footprint* f = footprints_.find(txn);
+  if (f == nullptr) return;
+  for (Key k : f->reads) uses_.Remove(k, Use{txn, /*writes=*/false});
+  for (Key k : f->writes) uses_.Remove(k, Use{txn, /*writes=*/true});
+  footprints_.erase(txn);
 }
 
 bool PreparedSet::HasConflict(const std::vector<Key>& reads,

@@ -2,9 +2,9 @@
 #define NATTO_STORE_PREPARED_SET_H_
 
 #include <cstddef>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/types.h"
 #include "store/key_uses.h"
 
@@ -23,7 +23,7 @@ class PreparedSet {
   /// Removes a transaction (commit applied or aborted).
   void Remove(TxnId txn);
 
-  bool Contains(TxnId txn) const { return footprints_.contains(txn); }
+  bool Contains(TxnId txn) const { return footprints_.find(txn) != nullptr; }
   size_t size() const { return footprints_.size(); }
 
   /// True iff a transaction with the given footprint conflicts with any
@@ -48,7 +48,7 @@ class PreparedSet {
     bool operator==(const Use&) const = default;
   };
 
-  std::unordered_map<TxnId, Footprint> footprints_;
+  FlatMap<Footprint> footprints_;
   KeyUses<Use> uses_;
 };
 

@@ -4,16 +4,27 @@
 
 namespace natto::tapir {
 
+namespace {
+
+/// The keys of `read_versions`, in order.
+std::vector<Key> KeysOf(
+    const std::vector<std::pair<Key, uint64_t>>& read_versions) {
+  std::vector<Key> keys;
+  keys.reserve(read_versions.size());
+  for (const auto& [k, v] : read_versions) keys.push_back(k);
+  return keys;
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // TapirReplica
 // ---------------------------------------------------------------------------
 
 TapirReplica::TapirReplica(TapirEngine* engine, int partition, int replica,
                            int site, sim::NodeClock clock)
-    : net::Node(engine->cluster()->transport(), site, clock),
-      engine_(engine),
-      partition_(partition),
-      kv_(engine->cluster()->options().default_value) {
+    : OccParticipant(engine->cluster(), partition, site, clock),
+      engine_(engine) {
   obs::MetricsRegistry* m = engine->cluster()->metrics();
   const std::string prefix = "tapir.replica.p" + std::to_string(partition) +
                              ".r" + std::to_string(replica) + ".";
@@ -31,37 +42,23 @@ void TapirReplica::HandleGet(TxnId id, std::vector<Key> keys,
          });
 }
 
-bool TapirReplica::Validates(
-    const std::vector<std::pair<Key, uint64_t>>& read_versions,
-    const std::vector<Key>& write_keys) const {
-  // Stale read check against this replica's committed state.
-  for (const auto& [k, version] : read_versions) {
-    if (kv_.Get(k).version > version) return false;
-  }
-  std::vector<Key> read_keys;
-  read_keys.reserve(read_versions.size());
-  for (const auto& [k, v] : read_versions) read_keys.push_back(k);
-  return !prepared_.HasConflict(read_keys, write_keys);
-}
-
 void TapirReplica::HandlePrepare(
     TxnId id, std::vector<std::pair<Key, uint64_t>> read_versions,
     std::vector<Key> write_keys, net::NodeId reply_to) {
-  bool ok = !finished_.contains(id) && Validates(read_versions, write_keys);
+  const std::vector<Key> read_keys = KeysOf(read_versions);
+  // A stale read is refused like a conflict.
+  obs::AbortCause cause = Check(id, read_keys, write_keys);
+  if (cause == obs::AbortCause::kNone && !ReadsCurrent(read_versions)) {
+    cause = obs::AbortCause::kOccConflict;
+  }
   // A single no vote is not an abort (a prepare majority may still form),
   // so the cause travels with the vote and is attributed only when the
   // gateway actually decides to abort.
-  obs::AbortCause cause = obs::AbortCause::kNone;
-  if (!ok) {
-    prepare_vote_no_->Inc();
-    cause = finished_.contains(id) ? obs::AbortCause::kStaleRetry
-                                   : obs::AbortCause::kOccConflict;
-  }
+  const bool ok = cause == obs::AbortCause::kNone;
   if (ok) {
-    std::vector<Key> read_keys;
-    read_keys.reserve(read_versions.size());
-    for (const auto& [k, v] : read_versions) read_keys.push_back(k);
     prepared_.Add(id, read_keys, write_keys);
+  } else {
+    prepare_vote_no_->Inc();
   }
   auto* gw = engine_->gateway_by_node(reply_to);
   int partition = partition_;
@@ -76,28 +73,12 @@ void TapirReplica::HandleFinalizePrepare(
   // Adopt the majority decision even if local validation said no
   // (inconsistent replication: the consensus result overrides).
   if (!finished_.contains(id) && !prepared_.Contains(id)) {
-    std::vector<Key> read_keys;
-    read_keys.reserve(read_versions.size());
-    for (const auto& [k, v] : read_versions) read_keys.push_back(k);
-    prepared_.Add(id, read_keys, write_keys);
+    prepared_.Add(id, KeysOf(read_versions), write_keys);
   }
   auto* gw = engine_->gateway_by_node(reply_to);
   int partition = partition_;
   SendTo(reply_to, kMessageHeaderBytes,
          [gw, id, partition]() { gw->HandleFinalizeAck(id, partition); });
-}
-
-void TapirReplica::HandleCommit(TxnId id,
-                                std::vector<std::pair<Key, Value>> writes) {
-  if (finished_.contains(id)) return;
-  for (const auto& [k, v] : writes) kv_.Apply(k, v, id);
-  prepared_.Remove(id);
-  finished_.insert(id);
-}
-
-void TapirReplica::HandleAbort(TxnId id) {
-  prepared_.Remove(id);
-  finished_.insert(id);
 }
 
 // ---------------------------------------------------------------------------

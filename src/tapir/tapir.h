@@ -6,12 +6,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/txn_id_set.h"
 #include "net/node.h"
 #include "obs/abort_cause.h"
 #include "obs/metrics.h"
-#include "store/kv_store.h"
-#include "store/prepared_set.h"
 #include "txn/cluster.h"
 #include "txn/engine_core.h"
 #include "txn/transaction.h"
@@ -23,7 +20,7 @@ class TapirEngine;
 /// One inconsistently-replicated storage replica: answers reads from local
 /// state, validates prepares with OCC (version check + prepared-set
 /// conflicts), and applies commits independently of its peers.
-class TapirReplica : public net::Node {
+class TapirReplica : public txn::OccParticipant {
  public:
   TapirReplica(TapirEngine* engine, int partition, int replica, int site,
                sim::NodeClock clock);
@@ -42,20 +39,8 @@ class TapirReplica : public net::Node {
                              std::vector<Key> write_keys,
                              net::NodeId reply_to);
 
-  void HandleCommit(TxnId id, std::vector<std::pair<Key, Value>> writes);
-  void HandleAbort(TxnId id);
-
-  store::KvStore* kv() { return &kv_; }
-
  private:
-  bool Validates(const std::vector<std::pair<Key, uint64_t>>& read_versions,
-                 const std::vector<Key>& write_keys) const;
-
   TapirEngine* engine_;
-  int partition_;
-  store::KvStore kv_;
-  store::PreparedSet prepared_;
-  TxnIdSet finished_;
 
   // Registered under tapir.replica.p<N>.r<M>.
   obs::Counter* prepare_vote_no_ = nullptr;

@@ -74,6 +74,44 @@ void GatewayBase::Finish(ClientTxn& st, TxnOutcome outcome,
 }
 
 // ---------------------------------------------------------------------------
+// OccParticipant
+// ---------------------------------------------------------------------------
+
+OccParticipant::OccParticipant(Cluster* cluster, int partition, int site,
+                               sim::NodeClock clock)
+    : net::Node(cluster->transport(), site, clock),
+      partition_(partition),
+      kv_(cluster->options().default_value) {}
+
+void OccParticipant::HandleCommit(
+    TxnId id, const std::vector<std::pair<Key, Value>>& writes) {
+  if (finished_.contains(id)) return;
+  for (const auto& [k, v] : writes) kv_.Apply(k, v, id);
+  prepared_.Remove(id);
+  finished_.insert(id);
+}
+
+void OccParticipant::HandleAbort(TxnId id) {
+  prepared_.Remove(id);
+  finished_.insert(id);
+}
+
+obs::AbortCause OccParticipant::Check(TxnId id, const std::vector<Key>& reads,
+                                      const std::vector<Key>& writes) const {
+  if (finished_.contains(id)) return obs::AbortCause::kStaleRetry;
+  return prepared_.HasConflict(reads, writes) ? obs::AbortCause::kOccConflict
+                                              : obs::AbortCause::kNone;
+}
+
+bool OccParticipant::ReadsCurrent(
+    const std::vector<std::pair<Key, uint64_t>>& read_versions) const {
+  for (const auto& [k, version] : read_versions) {
+    if (kv_.Get(k).version > version) return false;
+  }
+  return true;
+}
+
+// ---------------------------------------------------------------------------
 // CoordinatorBase
 // ---------------------------------------------------------------------------
 

@@ -16,14 +16,17 @@
 #include "obs/abort_cause.h"
 #include "obs/metrics.h"
 #include "store/kv_store.h"
+#include "store/prepared_set.h"
 #include "txn/cluster.h"
 #include "txn/transaction.h"
 
 // The scaffolding the engines share. Natto is built on Carousel's basic
 // protocol, so Carousel, Spanner and Natto run the same 2PC coordinator
 // (CoordinatorCore), and all four engines run the same client library
-// (GatewayCore). Each engine keeps only its protocol hooks: votes and
-// fast/slow paths, wounds, conditional prepare and RECSF.
+// (GatewayCore). The OCC replicas of Carousel Basic, Carousel Fast and
+// TAPIR share one participant (OccParticipant). Each engine keeps only its
+// protocol hooks: votes and fast/slow paths, wounds, conditional prepare
+// and RECSF.
 
 namespace natto::txn {
 
@@ -178,6 +181,43 @@ void SendOutcome(net::Node* from, Participant* to, TxnId id, bool commit,
                  [to, id]() { to->HandleAbort(id); });
   }
 }
+
+/// One partition replica of an OCC engine (Carousel Basic and Fast, TAPIR):
+/// the committed store, the footprints of the transactions prepared here
+/// (the keys each reads and writes on this partition), the tombstones of
+/// the finished ones, and the OCC rules over them. Engines derive from it
+/// and keep their message flow, Raft calls and counters.
+class OccParticipant : public net::Node {
+ public:
+  /// Applies the writes, drops the footprint and tombstones the id; a no-op
+  /// once the id has finished.
+  void HandleCommit(TxnId id,
+                    const std::vector<std::pair<Key, Value>>& writes);
+
+  /// Drops the footprint and tombstones the id.
+  void HandleAbort(TxnId id);
+
+  const store::KvStore* kv() const { return &kv_; }
+
+ protected:
+  OccParticipant(Cluster* cluster, int partition, int site,
+                 sim::NodeClock clock);
+
+  /// Why `id` may not prepare this footprint: kStaleRetry once the id has
+  /// finished here (a late message), else kOccConflict when the footprint
+  /// conflicts with a prepared one, else kNone.
+  obs::AbortCause Check(TxnId id, const std::vector<Key>& reads,
+                        const std::vector<Key>& writes) const;
+
+  /// True iff no key was read at a version older than the committed one.
+  bool ReadsCurrent(
+      const std::vector<std::pair<Key, uint64_t>>& read_versions) const;
+
+  int partition_;
+  store::KvStore kv_;
+  store::PreparedSet prepared_;
+  TxnIdSet finished_;
+};
 
 /// Per-transaction state every 2PC coordinator keeps. Engines derive from
 /// it to add their votes.

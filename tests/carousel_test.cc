@@ -6,8 +6,21 @@
 namespace natto::carousel {
 namespace {
 
+using testutil::CounterValue;
 using testutil::MakeCluster;
 using testutil::ScheduleTxn;
+
+/// The read-and-prepare a client at site 0 sends for a transaction that
+/// reads and writes `key`.
+WireTxn ReadPrepareOf(CarouselEngine& engine, TxnId id, Key key) {
+  WireTxn w;
+  w.id = id;
+  w.read_set = {key};
+  w.write_set = {key};
+  w.coordinator = engine.coordinator_at(0)->id();
+  w.client = engine.gateway_at(0)->id();
+  return w;
+}
 
 TEST(CarouselBasicTest, SingleTxnCommitsAndApplies) {
   auto cluster = MakeCluster();
@@ -106,6 +119,26 @@ TEST(CarouselBasicTest, DefaultValueFunctionIsUsed) {
   EXPECT_EQ(engine.DebugValue(7), 1001);
 }
 
+TEST(CarouselBasicTest, LateReadPrepareOfAFinishedTxnIsRefusedAsStale) {
+  auto cluster = MakeCluster();
+  CarouselEngine engine(cluster.get(), CarouselOptions{});
+  const TxnId x = MakeTxnId(1, 1);
+  auto probe = ScheduleTxn(cluster.get(), &engine, 0, x, txn::Priority::kLow,
+                           {3}, {3}, 0);
+  cluster->simulator()->RunUntil(Seconds(2));
+  ASSERT_TRUE(probe->committed());
+  ASSERT_EQ(engine.DebugValue(3), 1);
+  // Y prepares on key 3 and is never decided. X's duplicate then conflicts
+  // with Y's footprint too, but X has finished here, so it is stale.
+  CarouselServer* server = engine.server(3);
+  server->HandleReadPrepare(ReadPrepareOf(engine, MakeTxnId(2, 1), 3));
+  server->HandleReadPrepare(ReadPrepareOf(engine, x, 3));
+  cluster->simulator()->RunUntil(Seconds(4));
+  EXPECT_EQ(CounterValue(cluster.get(), "carousel.server.p3.stale_vote_no"), 1);
+  EXPECT_EQ(CounterValue(cluster.get(), "carousel.server.p3.occ_vote_no"), 0);
+  EXPECT_EQ(engine.DebugValue(3), 1);
+}
+
 TEST(CarouselFastTest, SingleTxnCommits) {
   auto cluster = MakeCluster();
   CarouselEngine engine(cluster.get(), CarouselOptions{/*fast_path=*/true});
@@ -149,6 +182,47 @@ TEST(CarouselFastTest, ReplicasConvergeAfterCommit) {
   for (int r = 0; r < 3; ++r) {
     EXPECT_EQ(engine.fast_replica(2, r)->kv()->Get(2).value, 1) << "r=" << r;
   }
+}
+
+TEST(CarouselFastTest, LatePreparesOfAFinishedTxnAreRefusedAsStale) {
+  auto cluster = MakeCluster();
+  CarouselEngine engine(cluster.get(), CarouselOptions{/*fast_path=*/true});
+  const TxnId x = MakeTxnId(1, 1);
+  auto first = ScheduleTxn(cluster.get(), &engine, 0, x, txn::Priority::kLow,
+                           {3}, {3}, 0);
+  cluster->simulator()->RunUntil(Seconds(2));
+  ASSERT_TRUE(first->committed());
+  auto counter = [&](int r, const std::string& name) {
+    return CounterValue(cluster.get(), "carousel.replica.p3.r" +
+                                           std::to_string(r) + "." + name);
+  };
+  // X's duplicate read-and-prepare at every replica, and its duplicate
+  // slow prepare at the leader, with the version X read (0, now stale).
+  for (int r = 0; r < 3; ++r) {
+    engine.fast_replica(3, r)->HandleReadPrepare(ReadPrepareOf(engine, x, 3));
+  }
+  engine.fast_replica(3, 0)->HandleSlowPrepare(
+      x, engine.coordinator_at(0)->id(), {{3, 0}}, {3}, {3});
+  cluster->simulator()->RunUntil(Seconds(3));
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_EQ(counter(r, "fast_vote_no"), 1) << "r=" << r;
+    EXPECT_EQ(engine.fast_replica(3, r)->kv()->Get(3).value, 1) << "r=" << r;
+  }
+  EXPECT_EQ(counter(0, "slow_vote_no"), 1);
+  // The tombstone is checked before the read versions.
+  EXPECT_EQ(counter(0, "slow_stale_read"), 0);
+
+  // The refusals left no footprint: a fresh transaction on key 3 prepares
+  // at every replica without a further no vote.
+  auto second = ScheduleTxn(cluster.get(), &engine, Seconds(3),
+                            MakeTxnId(1, 2), txn::Priority::kLow, {3}, {3}, 0);
+  cluster->simulator()->RunUntil(Seconds(5));
+  ASSERT_TRUE(second->committed());
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_EQ(counter(r, "fast_vote_no"), 1) << "r=" << r;
+    EXPECT_EQ(engine.fast_replica(3, r)->kv()->Get(3).value, 2) << "r=" << r;
+  }
+  EXPECT_EQ(counter(0, "slow_vote_no"), 1);
 }
 
 }  // namespace

@@ -34,6 +34,12 @@ inline int64_t NattoCounter(txn::Cluster* cluster, const std::string& field) {
                                                     "." + field);
 }
 
+/// The counter `name` in the cluster's metrics registry; throws when no
+/// such counter was registered, so a misspelled name cannot read as 0.
+inline int64_t CounterValue(txn::Cluster* cluster, const std::string& name) {
+  return cluster->metrics()->Snapshot().counters.at(name);
+}
+
 /// Read-modify-write: write value+1 for every read key.
 inline txn::WriteComputer IncrementWrites() {
   return [](const std::vector<txn::ReadResult>& reads) {

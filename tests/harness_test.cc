@@ -102,7 +102,6 @@ class FakeEngine : public txn::TxnEngine {
 
   void Execute(const txn::TxnRequest& request, txn::TxnCallback done) override {
     ++attempts_;
-    last_priority_ = request.priority;
     bool commit = (attempt_count_[TxnIdClient(request.id)]++ >= aborts_);
     simulator_->ScheduleAfter(Millis(10), [commit, done]() {
       txn::TxnResult r;
@@ -115,7 +114,6 @@ class FakeEngine : public txn::TxnEngine {
   Value DebugValue(Key) override { return 0; }
 
   int attempts_ = 0;
-  txn::Priority last_priority_ = txn::Priority::kLow;
   sim::Simulator* simulator_;
   int aborts_;
   std::map<uint32_t, int> attempt_count_;
@@ -176,27 +174,6 @@ TEST(ClientTest, GivesUpAfterMaxAttempts) {
   EXPECT_EQ(stats.committed_low, 0);
   EXPECT_EQ(stats.failed, 1);
   EXPECT_EQ(engine.attempts_, 100);
-}
-
-TEST(ClientTest, PromotionAfterAbortsRaisesPriority) {
-  sim::Simulator simulator;
-  FakeEngine engine(&simulator, /*aborts_before_commit=*/5);
-  OneKeyWorkload wl;
-  RunStats stats;
-  Client::Options opts;
-  opts.rate_tps = 1000.0;
-  opts.client_id = 1;
-  opts.stop_generating_at = Millis(1);
-  opts.measure_start = 0;
-  opts.measure_end = Seconds(100);
-  opts.promote_after_aborts = 2;
-  Client client(&simulator, &engine, &wl, opts, Rng(3), &stats);
-  client.Start();
-  simulator.Run();
-  EXPECT_EQ(engine.last_priority_, txn::Priority::kHigh);
-  // Stats are keyed by the ORIGINAL priority.
-  EXPECT_EQ(stats.committed_low, 1);
-  EXPECT_EQ(stats.committed_high, 0);
 }
 
 TEST(ClientTest, OutOfWindowTransactionsAreNotRecorded) {

@@ -532,8 +532,9 @@ TEST(EventFnTest, AcceptsMoveOnlyCapturesAndLvalueStdFunction) {
   EventFn f([o = std::move(owned), &out]() { out = *o + 1; });
   f();
   EXPECT_EQ(out, 42);
-  // Lvalue std::function still converts (bench/micro_substrates relies on
-  // re-scheduling a persistent chain closure by copy).
+  // Lvalue std::function still converts (SimulatorTest.
+  // EventsCanScheduleMoreEvents in tests/sim_test.cc re-schedules a
+  // persistent chain closure by copy).
   std::function<void()> chain = [&out]() { ++out; };
   EventFn g(chain);
   g();

@@ -6,6 +6,7 @@
 namespace natto::tapir {
 namespace {
 
+using testutil::CounterValue;
 using testutil::MakeCluster;
 using testutil::ScheduleTxn;
 
@@ -128,6 +129,42 @@ TEST(TapirTest, UserAbortLeavesNoState) {
   EXPECT_EQ(p1->result->outcome, txn::TxnOutcome::kUserAborted);
   EXPECT_TRUE(p2->committed());
   EXPECT_EQ(engine.DebugValue(5), 1);
+}
+
+TEST(TapirTest, LatePrepareOfAFinishedTxnIsRefusedAsStale) {
+  auto cluster = MakeCluster();
+  TapirEngine engine(cluster.get());
+  const TxnId x = MakeTxnId(1, 1);
+  auto first = ScheduleTxn(cluster.get(), &engine, 0, x, txn::Priority::kLow,
+                           {3}, {3}, 0);
+  cluster->simulator()->RunUntil(Seconds(2));
+  ASSERT_TRUE(first->committed());
+  auto vote_no = [&](int r) {
+    return CounterValue(cluster.get(), "tapir.replica.p3.r" +
+                                           std::to_string(r) +
+                                           ".prepare_vote_no");
+  };
+  // X's duplicate prepare, with the version X read (0), at every replica.
+  for (int r = 0; r < 3; ++r) {
+    engine.replica(3, r)->HandlePrepare(x, {{3, 0}}, {3},
+                                        engine.gateway_at(0)->id());
+  }
+  cluster->simulator()->RunUntil(Seconds(3));
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_EQ(vote_no(r), 1) << "r=" << r;
+    EXPECT_EQ(engine.replica(3, r)->kv()->Get(3).value, 1) << "r=" << r;
+  }
+
+  // The refusals left no footprint: a fresh transaction on key 3 prepares
+  // at every replica without a further no vote.
+  auto second = ScheduleTxn(cluster.get(), &engine, Seconds(3),
+                            MakeTxnId(1, 2), txn::Priority::kLow, {3}, {3}, 0);
+  cluster->simulator()->RunUntil(Seconds(5));
+  ASSERT_TRUE(second->committed());
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_EQ(vote_no(r), 1) << "r=" << r;
+    EXPECT_EQ(engine.replica(3, r)->kv()->Get(3).value, 2) << "r=" << r;
+  }
 }
 
 }  // namespace
