@@ -167,8 +167,9 @@ inline void ApplyDsanArgs(const DsanArgs& args,
 ///                        (a `.jsonl` path selects flat JSON lines; anything
 ///                        else selects Chrome trace_event JSON)
 ///   --trace-sample=<N>   record 1-in-N transactions (default 64)
-/// Tracing is off unless --trace is given, and enabling it changes none of
-/// the printed numbers: the tracer only buffers events against sim time.
+/// Tracing is off unless --trace is given, and enabling it changes neither
+/// the printed numbers nor the kernel a run executes on: the tracer only
+/// buffers events against sim time, in serial order.
 /// The --dsan* family (above) is parsed here too so every figure bench
 /// accepts it.
 struct TraceArgs {

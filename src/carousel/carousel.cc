@@ -25,28 +25,22 @@ std::vector<std::pair<Key, uint64_t>> VersionsOf(
 /// lost proposal counts on `lost`, drops the footprint and votes no with
 /// LostProposalCause.
 template <typename Vote>
-void ReplicateThenVote(net::Node* self, txn::Cluster* cluster, int partition,
+void ReplicateThenVote(txn::Cluster* cluster, int partition,
                        store::PreparedSet* prepared, TxnId id,
                        const char* span, obs::Counter* lost, Vote vote) {
-  if (obs::Tracer* tr = cluster->tracer()) {
-    tr->SpanBegin(id, span, partition, self->TrueNow());
-  }
+  obs::Tracer* tracer = cluster->tracer();
+  tracer->SpanBegin(id, span, partition);
   cluster->group(partition)->Propose(
       id,
-      [self, cluster, partition, id, span, vote]() {
-        if (obs::Tracer* tr = cluster->tracer()) {
-          tr->SpanEnd(id, span, partition, self->TrueNow());
-        }
+      [tracer, partition, id, span, vote]() {
+        tracer->SpanEnd(id, span, partition);
         vote(true, obs::AbortCause::kNone);
       },
-      [self, cluster, partition, prepared, id, span, lost,
-       vote](bool timed_out) {
+      [tracer, partition, prepared, id, span, lost, vote](bool timed_out) {
         lost->Inc();
         obs::AbortCause cause = txn::LostProposalCause(timed_out);
-        if (obs::Tracer* tr = cluster->tracer()) {
-          tr->SpanEnd(id, span, partition, self->TrueNow());
-          tr->AttributeAbort(id, cause);
-        }
+        tracer->SpanEnd(id, span, partition);
+        tracer->AttributeAbort(id, cause);
         prepared->Remove(id);
         vote(false, cause);
       });
@@ -93,11 +87,10 @@ void CarouselServer::HandleReadPrepare(const WireTxn& txn) {
     // abort is attributed here at its origin.
     const bool conflict = cause == obs::AbortCause::kOccConflict;
     (conflict ? occ_vote_no_ : stale_vote_no_)->Inc();
-    if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-      tr->Instant(id, conflict ? "occ_conflict" : "stale_retry_refused",
-                  partition, TrueNow());
-      tr->AttributeAbort(id, cause);
-    }
+    obs::Tracer* tracer = engine_->cluster()->tracer();
+    tracer->Instant(id, conflict ? "occ_conflict" : "stale_retry_refused",
+                    partition);
+    tracer->AttributeAbort(id, cause);
     vote(false, cause);
     return;
   }
@@ -114,8 +107,8 @@ void CarouselServer::HandleReadPrepare(const WireTxn& txn) {
          });
 
   // Replicate the prepare record; vote once durable.
-  ReplicateThenVote(this, engine_->cluster(), partition_, &prepared_, id,
-                    "prepare", replication_fail_vote_no_, vote);
+  ReplicateThenVote(engine_->cluster(), partition_, &prepared_, id, "prepare",
+                    replication_fail_vote_no_, vote);
 }
 
 void CarouselServer::HandleCommit(TxnId id,
@@ -203,10 +196,8 @@ void CarouselFastReplica::HandleSlowPrepare(
   auto refuse = [this, &vote](TxnId txn_id, obs::AbortCause cause,
                               const char* instant) {
     slow_vote_no_->Inc();
-    if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-      tr->Instant(txn_id, instant, partition_, TrueNow());
-      tr->AttributeAbort(txn_id, cause);
-    }
+    engine_->cluster()->tracer()->Instant(txn_id, instant, partition_);
+    engine_->cluster()->tracer()->AttributeAbort(txn_id, cause);
     vote(false, cause);
   };
 
@@ -235,7 +226,7 @@ void CarouselFastReplica::HandleSlowPrepare(
     return;
   }
   prepared_.Add(id, read_keys, write_keys);
-  ReplicateThenVote(this, engine_->cluster(), partition_, &prepared_, id,
+  ReplicateThenVote(engine_->cluster(), partition_, &prepared_, id,
                     "slow_prepare", slow_vote_no_, vote);
 }
 
@@ -302,9 +293,7 @@ void CarouselCoordinator::MaybeStartSlowPath(TxnId id, int partition) {
   }
   st->slow_pending.insert(partition);
   slow_path_starts_->Inc();
-  if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-    tr->SpanBegin(id, "slow_path", partition, TrueNow());
-  }
+  engine_->cluster()->tracer()->SpanBegin(id, "slow_path", partition);
   const txn::Topology& topo = engine_->cluster()->topology();
   std::vector<Key> read_keys = topo.LocalKeys(st->txn.read_set, partition);
   std::vector<Key> write_keys = topo.LocalKeys(st->txn.write_set, partition);
@@ -323,9 +312,7 @@ void CarouselCoordinator::HandleSlowVote(TxnId id, int partition, bool ok,
   CoordinatorTxn* st = Find(id);
   if (st == nullptr) return;
   if (st->slow_pending.erase(partition) > 0) {
-    if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-      tr->SpanEnd(id, "slow_path", partition, TrueNow());
-    }
+    engine_->cluster()->tracer()->SpanEnd(id, "slow_path", partition);
   }
   if (ok) {
     st->slow_ok.insert(partition);

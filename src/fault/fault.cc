@@ -369,7 +369,8 @@ void FaultInjector::Count(const char* name) {
 }
 
 void FaultInjector::Mark(const char* name) {
-  if (tracer_ == nullptr) return;
+  // A disabled tracer samples no id: the search below would never end.
+  if (!tracer_->enabled()) return;
   // Fault markers share the transaction trace stream. Ids come from a
   // reserved high range and are advanced until the deterministic sampler
   // accepts one, so every marker is recorded at any sample period.
@@ -377,10 +378,9 @@ void FaultInjector::Mark(const char* name) {
   do {
     id = (1ull << 63) | next_marker_++;
   } while (!tracer_->Sampled(id));
-  SimTime now = simulator_->Now();
-  tracer_->TxnBegin(id, 0, now);
-  tracer_->Instant(id, name, -1, now);
-  tracer_->TxnEnd(id, "fault", obs::AbortCause::kNone, now);
+  tracer_->TxnBegin(id, 0);
+  tracer_->Instant(id, name, -1);
+  tracer_->TxnEnd(id, "fault", obs::AbortCause::kNone);
 }
 
 void FaultInjector::Apply(const FaultEvent& e) {

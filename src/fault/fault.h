@@ -101,11 +101,11 @@ std::string FormatSchedule(const FaultSchedule& schedule);
 /// blackholes, and overlays transient link degradation windows. All actions
 /// run as ordinary simulator events against sim time, so fault runs stay
 /// bit-identical across thread counts. Counts every action under `fault.*`
-/// and, when a tracer is active, records an instant marker per action.
+/// and, when tracing is enabled, records an instant marker per action.
 class FaultInjector {
  public:
-  /// `groups` are the per-partition raft groups (borrowed); `metrics` and
-  /// `tracer` may be null.
+  /// `groups` are the per-partition raft groups (borrowed); `metrics` may
+  /// be null.
   FaultInjector(sim::Simulator* simulator, net::Transport* transport,
                 std::vector<raft::RaftGroup*> groups,
                 obs::MetricsRegistry* metrics, obs::Tracer* tracer,

@@ -80,7 +80,7 @@ RunStats RunOnce(const ExperimentConfig& config, const System& system,
 
   cluster.simulator()->RunUntil(config.duration + config.drain);
   stats.metrics = cluster.metrics()->Snapshot();
-  if (obs::Tracer* tr = cluster.tracer()) stats.traces = tr->Drain();
+  stats.traces = cluster.tracer()->Drain();
   if (sim::DeterminismLedger* ledger = cluster.ledger()) {
     stats.dsan = ledger->Trail();
   }

@@ -83,10 +83,9 @@ NattoServer::NattoServer(NattoEngine* engine, int partition, int site,
 void NattoServer::HandleReadPrepare(const NattoWireTxn& txn) {
   if (finished_.contains(txn.id)) {
     stats_.stale_retries->Inc();
-    if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-      tr->Instant(txn.id, "stale_retry_refused", partition_, TrueNow());
-      tr->AttributeAbort(txn.id, obs::AbortCause::kStaleRetry);
-    }
+    obs::Tracer* tracer = engine_->cluster()->tracer();
+    tracer->Instant(txn.id, "stale_retry_refused", partition_);
+    tracer->AttributeAbort(txn.id, obs::AbortCause::kStaleRetry);
     SendVote(txn.coordinator,
              {.id = txn.id, .cause = obs::AbortCause::kStaleRetry});
     return;
@@ -116,10 +115,9 @@ void NattoServer::Enqueue(TxnState st) {
     }
     if (violated) {
       stats_.order_violation_aborts->Inc();
-      if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-        tr->Instant(w.id, "order_violation", partition_, TrueNow());
-        tr->AttributeAbort(w.id, obs::AbortCause::kOrderViolation);
-      }
+      obs::Tracer* tracer = engine_->cluster()->tracer();
+      tracer->Instant(w.id, "order_violation", partition_);
+      tracer->AttributeAbort(w.id, obs::AbortCause::kOrderViolation);
       finished_.insert(w.id);
       SendVote(w.coordinator,
                {.id = w.id, .cause = obs::AbortCause::kOrderViolation});
@@ -175,9 +173,7 @@ void NattoServer::Enqueue(TxnState st) {
     }
   }
 
-  if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-    tr->SpanBegin(w.id, "queue", partition_, TrueNow());
-  }
+  engine_->cluster()->tracer()->SpanBegin(w.id, "queue", partition_);
   const SimTime ts = w.ts;
   table_.Insert(Stage::kQueued, std::move(st));
   if (now >= ts) {
@@ -191,9 +187,7 @@ void NattoServer::DrainReady() {
   while (const TxnState* head = table_.First(Stage::kQueued)) {
     if (head->txn.ts > LocalNow()) return;
     TxnState st = *table_.Take(head->txn.id);
-    if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-      tr->SpanEnd(st.txn.id, "queue", partition_, TrueNow());
-    }
+    engine_->cluster()->tracer()->SpanEnd(st.txn.id, "queue", partition_);
     ProcessTxn(std::move(st));
   }
 }
@@ -209,10 +203,9 @@ void NattoServer::ProcessTxn(TxnState st) {
         table_.AnyConflicting(Stage::kPrepared, st.local_reads,
                               st.local_writes)) {
       stats_.occ_aborts->Inc();
-      if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-        tr->Instant(st.txn.id, "occ_conflict", partition_, TrueNow());
-        tr->AttributeAbort(st.txn.id, obs::AbortCause::kOccConflict);
-      }
+      obs::Tracer* tracer = engine_->cluster()->tracer();
+      tracer->Instant(st.txn.id, "occ_conflict", partition_);
+      tracer->AttributeAbort(st.txn.id, obs::AbortCause::kOccConflict);
       finished_.insert(st.txn.id);
       SendVote(st.txn.coordinator,
                {.id = st.txn.id, .cause = obs::AbortCause::kOccConflict});
@@ -256,9 +249,7 @@ void NattoServer::ProcessTxn(TxnState st) {
 }
 
 void NattoServer::Wait(TxnState st) {
-  if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-    tr->SpanBegin(st.txn.id, "blocked", partition_, TrueNow());
-  }
+  engine_->cluster()->tracer()->SpanBegin(st.txn.id, "blocked", partition_);
   rescan_.emplace_back(st.txn.ts, st.txn.id);
   table_.Insert(Stage::kWaiting, std::move(st));
 }
@@ -289,9 +280,7 @@ void NattoServer::PrepareNow(TxnState st, bool conditional,
     conditioned_.emplace_back(condition_on, id);
   }
   const char* span_name = conditional ? "conditional_prepare" : "prepare";
-  if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-    tr->SpanBegin(id, span_name, partition_, TrueNow());
-  }
+  engine_->cluster()->tracer()->SpanBegin(id, span_name, partition_);
 
   int version = st.read_version;
   net::NodeId coord = st.txn.coordinator;
@@ -303,9 +292,7 @@ void NattoServer::PrepareNow(TxnState st, bool conditional,
   engine_->cluster()->group(partition_)->Propose(
       id,
       [this, id, version, coord, span_name]() {
-        if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-          tr->SpanEnd(id, span_name, partition_, TrueNow());
-        }
+        engine_->cluster()->tracer()->SpanEnd(id, span_name, partition_);
         const TxnState* st = table_.Find(Stage::kPrepared, id);
         if (st == nullptr) return;  // aborted or CP discarded
         if (st->read_version != version) return;  // superseded
@@ -318,9 +305,7 @@ void NattoServer::PrepareNow(TxnState st, bool conditional,
       [this, id, version, coord, span_name](bool timed_out) {
         // Prepare record lost to a leader failure: vote no; the
         // coordinator's abort cleans up the prepared state here.
-        if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-          tr->SpanEnd(id, span_name, partition_, TrueNow());
-        }
+        engine_->cluster()->tracer()->SpanEnd(id, span_name, partition_);
         const TxnState* st = table_.Find(Stage::kPrepared, id);
         if (st == nullptr || st->read_version != version) return;
         SendVote(coord, {.id = id, .read_version = version,
@@ -349,10 +334,9 @@ void NattoServer::ServeReads(TxnState& st) {
 
 void NattoServer::PriorityAbort(const TxnState& victim) {
   stats_.priority_aborts->Inc();
-  if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-    tr->Instant(victim.txn.id, "priority_abort", partition_, TrueNow());
-    tr->AttributeAbort(victim.txn.id, obs::AbortCause::kPriorityAbort);
-  }
+  obs::Tracer* tracer = engine_->cluster()->tracer();
+  tracer->Instant(victim.txn.id, "priority_abort", partition_);
+  tracer->AttributeAbort(victim.txn.id, obs::AbortCause::kPriorityAbort);
   finished_.insert(victim.txn.id);
   TxnId id = victim.txn.id;
   auto* co = engine_->coordinator_by_node(victim.txn.coordinator);
@@ -472,9 +456,7 @@ void NattoServer::RescanWaiting() {
       continue;
     }
     TxnState ready = *table_.Take(key.second);
-    if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-      tr->SpanEnd(ready.txn.id, "blocked", partition_, TrueNow());
-    }
+    engine_->cluster()->tracer()->SpanEnd(ready.txn.id, "blocked", partition_);
     PrepareNow(std::move(ready), /*conditional=*/false, 0);
   }
   rescan_.erase(rescan_.begin(),

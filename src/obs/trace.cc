@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "sim/simulator.h"
+
 namespace natto::obs {
 
 namespace {
@@ -39,65 +41,50 @@ bool Tracer::Sampled(TxnId id) const {
   return MixId(id) % static_cast<uint64_t>(options_.sample_period) == 0;
 }
 
-void Tracer::TxnBegin(TxnId id, int priority, SimTime now) {
+void Tracer::Post(TxnId id, Record r) {
   if (!Sampled(id)) return;
-  TxnTrace& t = txns_[id];
-  t.id = id;
-  t.priority = priority;
-  t.begin_time = now;
+  // Now() is read on the calling lane: a worker lane's closure is replayed
+  // on the main thread at the window barrier.
+  simulator_->DeferOrdered(
+      [this, id, r, now = simulator_->Now()]() { Apply(id, r, now); });
 }
 
-void Tracer::SpanBegin(TxnId id, const char* name, int partition,
-                       SimTime now) {
-  auto it = txns_.find(id);
-  if (it == txns_.end()) return;
-  SpanEvent e;
-  e.name = name;
-  e.partition = partition;
-  e.start = now;
-  it->second.events.push_back(std::move(e));
-}
-
-void Tracer::SpanEnd(TxnId id, const char* name, int partition, SimTime now) {
-  auto it = txns_.find(id);
-  if (it == txns_.end()) return;
-  auto& events = it->second.events;
-  for (auto rit = events.rbegin(); rit != events.rend(); ++rit) {
-    if (rit->end < rit->start && !rit->instant && rit->partition == partition &&
-        rit->name == name) {
-      rit->end = now;
-      return;
-    }
-  }
-}
-
-void Tracer::Instant(TxnId id, const char* name, int partition, SimTime now) {
-  auto it = txns_.find(id);
-  if (it == txns_.end()) return;
-  SpanEvent e;
-  e.name = name;
-  e.partition = partition;
-  e.start = now;
-  e.end = now;
-  e.instant = true;
-  it->second.events.push_back(std::move(e));
-}
-
-void Tracer::AttributeAbort(TxnId id, AbortCause cause) {
-  auto it = txns_.find(id);
-  if (it == txns_.end()) return;
-  if (it->second.cause == AbortCause::kNone) it->second.cause = cause;
-}
-
-void Tracer::TxnEnd(TxnId id, const char* outcome, AbortCause cause,
-                    SimTime now) {
-  auto it = txns_.find(id);
+void Tracer::Apply(TxnId id, const Record& r, SimTime now) {
+  auto it = r.op == Op::kTxnBegin ? txns_.try_emplace(id).first
+                                  : txns_.find(id);
   if (it == txns_.end()) return;
   TxnTrace& t = it->second;
-  if (!t.outcome.empty()) return;  // already finished
-  t.outcome = outcome;
-  t.end_time = now;
-  if (t.cause == AbortCause::kNone) t.cause = cause;
+  switch (r.op) {
+    case Op::kTxnBegin:
+      t.id = id;
+      t.priority = r.priority;
+      t.begin_time = now;
+      return;
+    case Op::kSpanBegin:
+    case Op::kInstant: {
+      const bool instant = r.op == Op::kInstant;
+      t.events.push_back(
+          SpanEvent{r.name, r.partition, now, instant ? now : -1, instant});
+      return;
+    }
+    case Op::kSpanEnd:
+      for (auto e = t.events.rbegin(); e != t.events.rend(); ++e) {
+        if (e->end < e->start && !e->instant && e->partition == r.partition &&
+            e->name == r.name) {
+          e->end = now;
+          return;
+        }
+      }
+      return;
+    case Op::kTxnEnd:
+      if (!t.outcome.empty()) return;  // already finished
+      t.outcome = r.name;
+      t.end_time = now;
+      [[fallthrough]];  // the first recorded cause wins over TxnEnd's
+    case Op::kAttributeAbort:
+      if (t.cause == AbortCause::kNone) t.cause = r.cause;
+      return;
+  }
 }
 
 std::vector<TxnTrace> Tracer::Drain() {

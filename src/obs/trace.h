@@ -9,11 +9,14 @@
 #include "common/types.h"
 #include "obs/abort_cause.h"
 
+namespace natto::sim {
+class Simulator;
+}  // namespace natto::sim
+
 namespace natto::obs {
 
-/// Tracing knobs. Tracing is off by default and, when off, the engines never
-/// construct a Tracer at all (Cluster::tracer() returns nullptr), so the
-/// instrumented paths cost one pointer test.
+/// Tracing knobs. Tracing is off by default, and a disabled tracer records
+/// nothing: each instrumented call costs one flag test.
 struct TraceOptions {
   bool enabled = false;
   /// Record 1-in-N transactions, selected by a deterministic hash of the
@@ -46,41 +49,66 @@ struct TxnTrace {
   std::vector<SpanEvent> events;
 };
 
-/// Per-transaction lifecycle span recorder. All timestamps are simulation
-/// time (the caller passes them in; the tracer never reads a clock), events
-/// are buffered in memory and drained by the harness after the run — the
-/// tracer schedules nothing and draws no randomness, so enabling it cannot
-/// perturb the simulation. One tracer per simulation cell; not thread-safe
-/// for the same reason the registry isn't.
+/// Per-transaction lifecycle span recorder. Each record is stamped with the
+/// calling lane's simulated Now() and applied through
+/// Simulator::DeferOrdered, so records land in serial order on every kernel.
+/// Records only touch the tracer's own buffer, which the harness drains
+/// after the run: the tracer schedules nothing and draws no randomness, so
+/// enabling it cannot perturb the simulation. One tracer per simulation
+/// cell.
 class Tracer {
  public:
-  explicit Tracer(TraceOptions options) : options_(options) {}
+  /// `simulator` supplies each record's time and its serial order.
+  Tracer(TraceOptions options, sim::Simulator* simulator)
+      : options_(options), simulator_(simulator) {}
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// Deterministic sampling decision for `id`.
+  bool enabled() const { return options_.enabled; }
+
+  /// Deterministic sampling decision for `id`; false when disabled.
   bool Sampled(TxnId id) const;
 
   /// Starts a transaction trace (gateway, at submission). All other calls
   /// for ids that were not begun (or not sampled) are ignored.
-  void TxnBegin(TxnId id, int priority, SimTime now);
+  void TxnBegin(TxnId id, int priority) {
+    if (enabled()) Post(id, {.op = Op::kTxnBegin, .priority = priority});
+  }
 
   /// Opens / closes a named span. Closing matches the most recent open span
   /// with the same (name, partition); unmatched closes are dropped.
-  void SpanBegin(TxnId id, const char* name, int partition, SimTime now);
-  void SpanEnd(TxnId id, const char* name, int partition, SimTime now);
+  void SpanBegin(TxnId id, const char* name, int partition) {
+    if (enabled()) {
+      Post(id, {.op = Op::kSpanBegin, .name = name, .partition = partition});
+    }
+  }
+  void SpanEnd(TxnId id, const char* name, int partition) {
+    if (enabled()) {
+      Post(id, {.op = Op::kSpanEnd, .name = name, .partition = partition});
+    }
+  }
 
   /// Zero-duration marker event.
-  void Instant(TxnId id, const char* name, int partition, SimTime now);
+  void Instant(TxnId id, const char* name, int partition) {
+    if (enabled()) {
+      Post(id, {.op = Op::kInstant, .name = name, .partition = partition});
+    }
+  }
 
   /// Records the first abort cause attributed to `id`. Later attributions
   /// are ignored: several participants can refuse the same transaction, and
   /// the taxonomy assigns the cause that reached it first.
-  void AttributeAbort(TxnId id, AbortCause cause);
+  void AttributeAbort(TxnId id, AbortCause cause) {
+    if (enabled()) Post(id, {.op = Op::kAttributeAbort, .cause = cause});
+  }
 
   /// Finishes a trace with the decided outcome. The recorded cause (if any)
   /// wins over `cause`; pass kNone for commits.
-  void TxnEnd(TxnId id, const char* outcome, AbortCause cause, SimTime now);
+  void TxnEnd(TxnId id, const char* outcome, AbortCause cause) {
+    if (enabled()) {
+      Post(id, {.op = Op::kTxnEnd, .name = outcome, .cause = cause});
+    }
+  }
 
   /// Moves out all traces, sorted by (begin_time, id) so the stream is
   /// deterministic. Unfinished traces (in-flight at simulation end) are
@@ -88,7 +116,31 @@ class Tracer {
   std::vector<TxnTrace> Drain();
 
  private:
+  enum class Op {
+    kTxnBegin,
+    kSpanBegin,
+    kSpanEnd,
+    kInstant,
+    kAttributeAbort,
+    kTxnEnd,
+  };
+  /// One recording call's arguments; `name` is a span's name or TxnEnd's
+  /// outcome.
+  struct Record {
+    Op op;
+    const char* name = nullptr;
+    int partition = -1;
+    int priority = 0;
+    AbortCause cause = AbortCause::kNone;
+  };
+
+  /// Applies `r` to `id`'s trace, at the caller's Now() and in serial
+  /// order, if `id` is sampled.
+  void Post(TxnId id, Record r);
+  void Apply(TxnId id, const Record& r, SimTime now);
+
   TraceOptions options_;
+  sim::Simulator* simulator_;
   // Ordered by txn id: Drain()'s sort must not start from hash order.
   std::map<TxnId, TxnTrace> txns_;
 };

@@ -538,9 +538,11 @@ void RaftReplica::HandleAppendResponse(uint64_t term, bool success,
 
 void RaftReplica::AdvanceCommit() {
   if (role_ != Role::kLeader) return;
-  // The leader's own match index is its log size.
-  std::vector<uint64_t> matches;
-  matches.reserve(peers_.size());
+  // The leader's own match index is its log size. ApplyCommitted's
+  // callbacks can re-enter this function and refill `matches`, so it is
+  // read only before that call.
+  std::vector<uint64_t>& matches = commit_matches_;
+  matches.clear();
   for (size_t i = 0; i < peers_.size(); ++i) {
     matches.push_back(i == self_index_ ? log_.size()
                                        : peer_state_[i].match_index);

@@ -200,6 +200,9 @@ class RaftReplica : public net::Node {
   uint64_t applied_index_ = 0;
 
   std::vector<PeerState> peer_state_;
+  // AdvanceCommit's match indexes, kept so that a commit check allocates
+  // nothing.
+  std::vector<uint64_t> commit_matches_;
   // Callbacks for locally proposed entries, keyed by log index, in index
   // order. The first callbacks_head_ have fired; ApplyCommitted erases them
   // when it finishes.

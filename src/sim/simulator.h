@@ -92,10 +92,10 @@ class Simulator {
   ///
   /// Use this for order-sensitive side effects on state shared across
   /// sites: histogram records, floating-point accumulations, vector
-  /// appends. Contract: the closure must capture by value, must not
-  /// schedule or cancel events, must not draw from instrumented RNGs, and
-  /// the state it touches must only ever be mutated through DeferOrdered
-  /// (all three violations trip NATTO_DCHECKs in the merge).
+  /// appends, trace records. Contract: the closure must capture by value,
+  /// must not schedule or cancel events, must not draw from instrumented
+  /// RNGs, and the state it touches must only ever be mutated through
+  /// DeferOrdered (all three violations trip NATTO_DCHECKs in the merge).
   void DeferOrdered(Callback fn);
 
   /// Cancels a pending event: it will be discarded unexecuted (without

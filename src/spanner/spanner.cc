@@ -50,9 +50,7 @@ void SpannerServer::HandleReadLock(const SpannerTxnMeta& meta,
   lt.meta = meta;
   lt.read_keys = keys;
   TxnId id = meta.id;
-  if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-    tr->SpanBegin(id, "read_lock", partition_, TrueNow());
-  }
+  engine_->cluster()->tracer()->SpanBegin(id, "read_lock", partition_);
   AcquireAll(id, keys, store::LockMode::kShared,
              [this, id]() { ServeReads(id); });
 }
@@ -174,9 +172,7 @@ void SpannerServer::WoundLocal(TxnId victim) {
   // The wound is not yet a definite abort (the coordinator ignores it if
   // the transaction already committed), so only an instant is recorded;
   // cause attribution happens at the coordinator's decision.
-  if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-    tr->Instant(victim, "wound", partition_, TrueNow());
-  }
+  engine_->cluster()->tracer()->Instant(victim, "wound", partition_);
   // A participant cannot unilaterally abort a transaction that may be
   // prepared elsewhere: the wound is routed through the victim's
   // coordinator, which aborts it globally iff it has not committed yet.
@@ -195,9 +191,7 @@ void SpannerServer::ServeReads(TxnId id) {
   LocalTxn& lt = it->second;
   if (lt.reads_served) return;
   lt.reads_served = true;
-  if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-    tr->SpanEnd(id, "read_lock", partition_, TrueNow());
-  }
+  engine_->cluster()->tracer()->SpanEnd(id, "read_lock", partition_);
   std::vector<txn::ReadResult> results = txn::ReadAll(kv_, lt.read_keys);
   auto* gw = engine_->gateway_by_node(lt.meta.client);
   int partition = partition_;
@@ -223,9 +217,7 @@ void SpannerServer::HandlePrepare(const SpannerTxnMeta& meta,
   LocalTxn& lt = txns_[meta.id];  // created here for write-only participants
   lt.meta = meta;
   lt.writes = std::move(writes);
-  if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-    tr->SpanBegin(meta.id, "prepare", partition_, TrueNow());
-  }
+  engine_->cluster()->tracer()->SpanBegin(meta.id, "prepare", partition_);
   std::vector<Key> write_keys;
   write_keys.reserve(lt.writes.size());
   for (const auto& [k, v] : lt.writes) write_keys.push_back(k);
@@ -239,9 +231,7 @@ void SpannerServer::FinishPrepare(TxnId id) {
   if (it == txns_.end()) return;
   LocalTxn& lt = it->second;
   auto vote = [this, id, coord = lt.meta.coordinator]() {
-    if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-      tr->SpanEnd(id, "prepare", partition_, TrueNow());
-    }
+    engine_->cluster()->tracer()->SpanEnd(id, "prepare", partition_);
     auto* co = engine_->coordinator_by_node(coord);
     int partition = partition_;
     SendTo(coord, kMessageHeaderBytes, [co, id, partition]() {
@@ -258,9 +248,7 @@ void SpannerServer::FinishPrepare(TxnId id) {
       [this, id, coord = lt.meta.coordinator](bool timed_out) {
         // Prepare record lost to a leader failure: vote no and let the
         // coordinator's abort clean up our lock/txn state.
-        if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-          tr->SpanEnd(id, "prepare", partition_, TrueNow());
-        }
+        engine_->cluster()->tracer()->SpanEnd(id, "prepare", partition_);
         auto* co = engine_->coordinator_by_node(coord);
         int partition = partition_;
         obs::AbortCause cause = txn::LostProposalCause(timed_out);

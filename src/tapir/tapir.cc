@@ -88,7 +88,7 @@ void TapirReplica::HandleFinalizePrepare(
 TapirGateway::TapirGateway(TapirEngine* engine, int site, sim::NodeClock clock)
     : GatewayCore(engine->cluster(), site, clock),
       engine_(engine),
-      decisions_(engine->cluster()->metrics(),
+      decisions_(engine->cluster(),
                  "tapir.gateway.s" + std::to_string(site) + ".") {
   slow_path_starts_ = engine->cluster()->metrics()->GetCounter(
       "tapir.gateway.s" + std::to_string(site) + ".slow_path_starts");
@@ -127,18 +127,15 @@ void TapirGateway::SendRound2(TxnId id, TapirTxn& st,
                               const std::vector<txn::ReadResult>& /*ordered*/,
                               bool user_abort) {
   if (user_abort) {
-    if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-      tr->AttributeAbort(id, obs::AbortCause::kUserAbort);
-    }
+    engine_->cluster()->tracer()->AttributeAbort(id,
+                                                 obs::AbortCause::kUserAbort);
     HandleDecision(id, txn::TxnOutcome::kUserAborted,
                    obs::AbortCause::kUserAbort);
     return;
   }
   for (int p : st.participants) {
     st.partitions[p] = PartitionState{};
-    if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-      tr->SpanBegin(id, "prepare", p, TrueNow());
-    }
+    engine_->cluster()->tracer()->SpanBegin(id, "prepare", p);
     SendFootprint(id, st, p, /*finalize=*/false);
   }
 }
@@ -195,22 +192,16 @@ void TapirGateway::OnPartitionUpdate(TxnId id, int partition) {
     if (ps.ok_votes == n) {
       // Fast path: unanimous matching PREPARE-OK.
       ps.phase = PartitionPhase::kPreparedOk;
-      if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-        tr->SpanEnd(id, "prepare", partition, TrueNow());
-      }
+      engine_->cluster()->tracer()->SpanEnd(id, "prepare", partition);
     } else if (ps.fail_votes >= majority) {
       ps.phase = PartitionPhase::kAborted;
-      if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-        tr->SpanEnd(id, "prepare", partition, TrueNow());
-      }
+      engine_->cluster()->tracer()->SpanEnd(id, "prepare", partition);
     } else if (ps.ok_votes >= majority && ps.fail_votes > 0) {
       // Fast quorum impossible but a prepare majority exists: start the
       // slow path immediately (one consensus round to make it durable).
       ps.phase = PartitionPhase::kSlowPath;
       slow_path_starts_->Inc();
-      if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-        tr->SpanBegin(id, "slow_path", partition, TrueNow());
-      }
+      engine_->cluster()->tracer()->SpanBegin(id, "slow_path", partition);
       SendFootprint(id, *st, partition, /*finalize=*/true);
     }
   }
@@ -227,10 +218,9 @@ void TapirGateway::HandleFinalizeAck(TxnId id, int partition) {
   const txn::Topology& topo = engine_->cluster()->topology();
   if (++ps.finalize_acks >= topo.num_replicas() / 2 + 1) {
     ps.phase = PartitionPhase::kPreparedOk;
-    if (obs::Tracer* tr = engine_->cluster()->tracer()) {
-      tr->SpanEnd(id, "slow_path", partition, TrueNow());
-      tr->SpanEnd(id, "prepare", partition, TrueNow());
-    }
+    obs::Tracer* tracer = engine_->cluster()->tracer();
+    tracer->SpanEnd(id, "slow_path", partition);
+    tracer->SpanEnd(id, "prepare", partition);
   }
   MaybeDecide(id);
 }
@@ -256,9 +246,8 @@ void TapirGateway::MaybeDecide(TxnId id) {
 void TapirGateway::Decide(TxnId id, bool commit, obs::AbortCause cause) {
   TapirTxn* st = Find(id);
   if (st == nullptr) return;
-  obs::Tracer* tr = engine_->cluster()->tracer();
-  decisions_.Record(tr, id, commit, TrueNow());
-  if (tr != nullptr && !commit) tr->AttributeAbort(id, cause);
+  decisions_.Record(id, commit);
+  if (!commit) engine_->cluster()->tracer()->AttributeAbort(id, cause);
 
   const txn::Topology& topo = engine_->cluster()->topology();
   for (int p : st->participants) {

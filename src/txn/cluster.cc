@@ -30,7 +30,8 @@ Cluster::Cluster(net::LatencyMatrix matrix, Topology topology,
     : matrix_(std::move(matrix)),
       topology_(std::move(topology)),
       options_(std::move(options)),
-      rng_(options_.seed) {
+      rng_(options_.seed),
+      tracer_(options_.trace, &simulator_) {
   NATTO_CHECK(topology_.num_sites() <= matrix_.num_sites())
       << "topology uses more sites than the latency matrix defines";
   // A negative ratio would silently select constant delays.
@@ -39,12 +40,11 @@ Cluster::Cluster(net::LatencyMatrix matrix, Topology topology,
       << options_.delay_variance_ratio;
   NATTO_CHECK(options_.uniform_jitter >= 0.0 && options_.uniform_jitter < 1.0)
       << "uniform_jitter must be in [0, 1), got " << options_.uniform_jitter;
-  if (SiteConfinedModel() && options_.transport.node_cost_per_message > 0) {
+  if (SiteParallelEligible() && options_.transport.node_cost_per_message > 0) {
     // The CPU-cost model's FIFO queue is cross-site state when serviced at
-    // send time; site-confined configs service at arrival on the
-    // receiver's lane instead. Decided by the simulated config alone, so
-    // serial, parallel and traced runs of one config agree. Must precede
-    // transport construction.
+    // send time; eligible configs service at arrival on the receiver's
+    // lane instead. Decided by the config alone, so serial and parallel
+    // runs of one config agree. Must precede transport construction.
     options_.transport.deferred_node_service = true;
   }
   if (options_.sim_threads > 1 && SiteParallelEligible()) {
@@ -62,9 +62,6 @@ Cluster::Cluster(net::LatencyMatrix matrix, Topology topology,
     ledger_ = std::make_unique<sim::DeterminismLedger>(options_.dsan);
     simulator_.set_ledger(ledger_.get());
     rng_.Instrument(ledger_->RegisterRngStream("cluster"));
-  }
-  if (options_.trace.enabled) {
-    tracer_ = std::make_unique<obs::Tracer>(options_.trace);
   }
   transport_ = std::make_unique<net::Transport>(
       &simulator_, &matrix_, MakeDelayModel(options_), options_.transport,
@@ -94,7 +91,7 @@ Cluster::Cluster(net::LatencyMatrix matrix, Topology topology,
     }
     fault_injector_ = std::make_unique<fault::FaultInjector>(
         &simulator_, transport_.get(), std::move(group_ptrs), &metrics_,
-        tracer_.get(), options_.fault_schedule);
+        &tracer_, options_.fault_schedule);
     fault_injector_->Arm();
     if (options_.gray_defense) {
       // Gray defense rides on the chaos wiring: suspicion elections need
@@ -115,10 +112,6 @@ Cluster::Cluster(net::LatencyMatrix matrix, Topology topology,
 }
 
 bool Cluster::SiteParallelEligible() const {
-  return !options_.trace.enabled && SiteConfinedModel();
-}
-
-bool Cluster::SiteConfinedModel() const {
   // A stateless wire's delay model never scales below 1, so its lookahead
   // is the minimum cross-site delay itself.
   return options_.fault_schedule.empty() && !options_.gray_defense &&

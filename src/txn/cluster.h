@@ -102,12 +102,12 @@ class Cluster {
   /// their instruments here.
   obs::MetricsRegistry* metrics() { return &metrics_; }
 
-  /// Lifecycle tracer, or nullptr when tracing is disabled — instrumented
-  /// paths guard with `if (auto* t = cluster->tracer())`.
-  obs::Tracer* tracer() { return tracer_.get(); }
+  /// Lifecycle tracer, never null; it records nothing unless
+  /// `options().trace.enabled`.
+  obs::Tracer* tracer() { return &tracer_; }
 
   /// Determinism-sanitizer ledger, or nullptr when dsan is disabled (the
-  /// same null fast path as the tracer and fault injector).
+  /// same null fast path as the fault injector).
   sim::DeterminismLedger* ledger() { return ledger_.get(); }
 
   raft::RaftGroup* group(int partition) { return groups_[partition].get(); }
@@ -154,18 +154,13 @@ class Cluster {
   /// windows. A pure function of the config — never of sim_threads — so a
   /// serial run and a parallel run of the same config make identical
   /// decisions and stay byte-identical. Eligible = fault-free (empty fault
-  /// schedule, no gray wiring), no tracer, a stateless wire
-  /// (net::StatelessWire: constant delays, no batching, loss, or capacity),
-  /// at least two sites, and a positive lookahead. Ineligible configs run
-  /// the serial kernel at any sim_threads.
+  /// schedule, no gray wiring), a stateless wire (net::StatelessWire:
+  /// constant delays, no batching, loss, or capacity), at least two sites,
+  /// and a positive lookahead. Ineligible configs run the serial kernel at
+  /// any sim_threads.
   bool SiteParallelEligible() const;
 
  private:
-  /// SiteParallelEligible() without the tracer term: whether the simulated
-  /// model itself is site-confined. It picks the CPU service model
-  /// (deferred_node_service), so switching the tracer on changes only the
-  /// kernel a run executes on, never a simulated number.
-  bool SiteConfinedModel() const;
   /// Minimum one-way delay between two of the topology's sites; 0 for a
   /// single-site deployment.
   SimDuration MinCrossSiteDelay() const;
@@ -177,7 +172,7 @@ class Cluster {
   Rng rng_;
   obs::MetricsRegistry metrics_;
   std::unique_ptr<sim::DeterminismLedger> ledger_;
-  std::unique_ptr<obs::Tracer> tracer_;
+  obs::Tracer tracer_;
   std::unique_ptr<net::Transport> transport_;
   std::vector<std::unique_ptr<raft::RaftGroup>> groups_;
   std::unique_ptr<fault::FaultInjector> fault_injector_;

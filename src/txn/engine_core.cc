@@ -2,17 +2,14 @@
 
 namespace natto::txn {
 
-DecisionCounters::DecisionCounters(obs::MetricsRegistry* metrics,
-                                   const std::string& prefix)
-    : commits_(metrics->GetCounter(prefix + "commits")),
-      aborts_(metrics->GetCounter(prefix + "aborts")) {}
+DecisionCounters::DecisionCounters(Cluster* cluster, const std::string& prefix)
+    : tracer_(cluster->tracer()),
+      commits_(cluster->metrics()->GetCounter(prefix + "commits")),
+      aborts_(cluster->metrics()->GetCounter(prefix + "aborts")) {}
 
-void DecisionCounters::Record(obs::Tracer* tracer, TxnId id, bool commit,
-                              SimTime now) {
+void DecisionCounters::Record(TxnId id, bool commit) {
   (commit ? commits_ : aborts_)->Inc();
-  if (tracer != nullptr) {
-    tracer->Instant(id, commit ? "decide_commit" : "decide_abort", -1, now);
-  }
+  tracer_->Instant(id, commit ? "decide_commit" : "decide_abort", -1);
 }
 
 std::vector<ReadResult> ReadAll(const store::KvStore& kv,
@@ -33,13 +30,6 @@ std::vector<ReadResult> ReadAll(const store::KvStore& kv,
 GatewayBase::GatewayBase(Cluster* cluster, int site, sim::NodeClock clock)
     : net::Node(cluster->transport(), site, clock), cluster_(cluster) {}
 
-void GatewayBase::TraceBegin(TxnId id, int level, bool round1_span) {
-  obs::Tracer* tr = cluster_->tracer();
-  if (tr == nullptr) return;
-  tr->TxnBegin(id, level, TrueNow());
-  if (round1_span) tr->SpanBegin(id, "round1", /*partition=*/-1, TrueNow());
-}
-
 std::vector<ReadResult> GatewayBase::OrderedReads(const ClientTxn& st) {
   std::vector<ReadResult> ordered;
   ordered.reserve(st.request.read_set.size());
@@ -54,12 +44,10 @@ std::vector<ReadResult> GatewayBase::OrderedReads(const ClientTxn& st) {
 void GatewayBase::Finish(ClientTxn& st, TxnOutcome outcome,
                          obs::AbortCause cause) {
   const bool committed = outcome == TxnOutcome::kCommitted;
-  if (obs::Tracer* tr = cluster_->tracer()) {
-    const char* name = committed ? "committed"
-                       : outcome == TxnOutcome::kUserAborted ? "user_aborted"
-                                                             : "aborted";
-    tr->TxnEnd(st.request.id, name, cause, TrueNow());
-  }
+  const char* name = committed ? "committed"
+                     : outcome == TxnOutcome::kUserAborted ? "user_aborted"
+                                                           : "aborted";
+  cluster_->tracer()->TxnEnd(st.request.id, name, cause);
   TxnResult result;
   result.outcome = outcome;
   result.abort_cause = committed ? obs::AbortCause::kNone : cause;
@@ -122,7 +110,7 @@ CoordinatorBase::CoordinatorBase(Cluster* cluster, int site,
     : net::Node(cluster->transport(), site, clock),
       cluster_(cluster),
       metric_prefix_(family + ".coord.s" + std::to_string(site) + "."),
-      decisions_(cluster->metrics(), metric_prefix_),
+      decisions_(cluster, metric_prefix_),
       default_refusal_(default_refusal) {}
 
 void CoordinatorBase::Fail(CoordTxn& st, obs::AbortCause cause) {
@@ -137,7 +125,7 @@ obs::AbortCause CoordinatorBase::RefusalCause(const CoordTxn& st) const {
 
 void CoordinatorBase::Announce(TxnId id, bool commit, const CoordTxn& st,
                                obs::AbortCause cause) {
-  decisions_.Record(cluster_->tracer(), id, commit, TrueNow());
+  decisions_.Record(id, commit);
   const TxnOutcome outcome = commit          ? TxnOutcome::kCommitted
                              : st.user_abort ? TxnOutcome::kUserAborted
                                              : TxnOutcome::kAborted;

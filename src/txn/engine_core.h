@@ -35,11 +35,12 @@ namespace natto::txn {
 /// decides.
 class DecisionCounters {
  public:
-  DecisionCounters(obs::MetricsRegistry* metrics, const std::string& prefix);
+  DecisionCounters(Cluster* cluster, const std::string& prefix);
 
-  void Record(obs::Tracer* tracer, TxnId id, bool commit, SimTime now);
+  void Record(TxnId id, bool commit);
 
  private:
+  obs::Tracer* tracer_;
   obs::Counter* commits_;
   obs::Counter* aborts_;
 };
@@ -77,10 +78,6 @@ class GatewayBase : public net::Node {
                               obs::AbortCause cause) = 0;
 
  protected:
-  /// Opens the attempt's trace at priority `level`, with the round-1 span
-  /// when `round1_span`.
-  void TraceBegin(TxnId id, int level, bool round1_span);
-
   /// Round-1 reads in read-set order; every read must have arrived.
   static std::vector<ReadResult> OrderedReads(const ClientTxn& st);
 
@@ -119,10 +116,12 @@ class GatewayCore : public GatewayBase {
   }
 
  protected:
-  /// Registers a new attempt and opens its trace.
+  /// Registers a new attempt and opens its trace at priority `level`, with
+  /// the round-1 span when `round1_span`.
   T& Register(const TxnRequest& request, TxnCallback done, int level,
               bool round1_span) {
-    TraceBegin(request.id, level, round1_span);
+    cluster_->tracer()->TxnBegin(request.id, level);
+    if (round1_span) cluster_->tracer()->SpanBegin(request.id, "round1", -1);
     T& st = txns_[request.id];
     st.request = request;
     st.done = std::move(done);
@@ -140,9 +139,7 @@ class GatewayCore : public GatewayBase {
     T* st = Find(id);
     if (st == nullptr || !st->awaiting.empty() || st->sent_round2) return;
     st->sent_round2 = true;
-    if (obs::Tracer* tr = cluster_->tracer()) {
-      tr->SpanEnd(id, "round1", /*partition=*/-1, TrueNow());
-    }
+    cluster_->tracer()->SpanEnd(id, "round1", /*partition=*/-1);
     ComputeRound2(id, *st);
   }
 

@@ -171,11 +171,11 @@ TEST(ClusterTest, MisSitedScheduleTripsDcheckUnderSiteParallel) {
 #endif
 
 TEST(ClusterTest, TracingLeavesCpuCostResultsUnchanged) {
-  // The tracer forces the serial kernel but must not change what is
-  // simulated: a site-confined config with the CPU-cost model services
-  // messages at arrival whether or not it is traced, so every latency and
-  // every counter match.
-  auto run = [](bool traced) {
+  // The tracer changes neither the kernel nor what is simulated: a traced
+  // site-confined config with the CPU-cost model stays eligible for
+  // site-parallel windows, and its 3-thread run matches the untraced serial
+  // run on every latency and every counter.
+  auto config_for = [](bool traced, int sim_threads) {
     harness::ExperimentConfig config;
     config.matrix = net::LatencyMatrix::LocalTriangle();
     config.num_partitions = 3;
@@ -187,6 +187,10 @@ TEST(ClusterTest, TracingLeavesCpuCostResultsUnchanged) {
     config.drain = Seconds(1);
     config.cluster.transport.node_cost_per_message = Micros(25);
     config.cluster.trace.enabled = traced;
+    config.cluster.sim_threads = sim_threads;
+    return config;
+  };
+  auto run = [](const harness::ExperimentConfig& config) {
     harness::WorkloadFactory workload = []() {
       workload::YcsbTWorkload::Options o;
       o.num_keys = 10000;
@@ -196,8 +200,15 @@ TEST(ClusterTest, TracingLeavesCpuCostResultsUnchanged) {
         config, harness::MakeSystem(harness::SystemKind::kNattoRecsf),
         workload, config.seed);
   };
-  harness::RunStats untraced = run(false);
-  harness::RunStats traced = run(true);
+  const harness::ExperimentConfig traced_config = config_for(true, 3);
+  Cluster probe(traced_config.matrix,
+                Topology::Spread(3, 3, traced_config.matrix.num_sites()),
+                traced_config.cluster);
+  EXPECT_TRUE(probe.SiteParallelEligible());
+  EXPECT_TRUE(probe.simulator()->site_parallel());
+
+  harness::RunStats untraced = run(config_for(false, 1));
+  harness::RunStats traced = run(traced_config);
   ASSERT_GT(untraced.committed_high + untraced.committed_low, 0);
   EXPECT_FALSE(traced.traces.empty());
   EXPECT_EQ(traced.committed_high, untraced.committed_high);

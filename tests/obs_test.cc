@@ -14,6 +14,7 @@
 #include "obs/abort_cause.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sim/simulator.h"
 #include "workload/ycsbt.h"
 
 namespace natto {
@@ -29,15 +30,26 @@ using harness::System;
 using harness::SystemKind;
 using harness::WorkloadFactory;
 
+// The tracer stamps each record with its simulator's Now(), so these tests
+// set a call's time by running the simulator to it.
 TEST(TracerTest, SpanLifecycleAndMatching) {
-  obs::Tracer tr(obs::TraceOptions{/*enabled=*/true, /*sample_period=*/1});
-  tr.TxnBegin(7, /*priority=*/1, /*now=*/100);
-  tr.SpanBegin(7, "prepare", /*partition=*/0, 110);
-  tr.SpanBegin(7, "prepare", /*partition=*/1, 120);
-  tr.SpanEnd(7, "prepare", 1, 130);
-  tr.Instant(7, "decide_commit", -1, 140);
-  tr.SpanEnd(7, "never_opened", 5, 150);  // unmatched close: dropped
-  tr.TxnEnd(7, "committed", obs::AbortCause::kNone, 160);
+  sim::Simulator sim;
+  obs::Tracer tr(obs::TraceOptions{/*enabled=*/true, /*sample_period=*/1},
+                 &sim);
+  sim.RunUntil(100);
+  tr.TxnBegin(7, /*priority=*/1);
+  sim.RunUntil(110);
+  tr.SpanBegin(7, "prepare", /*partition=*/0);
+  sim.RunUntil(120);
+  tr.SpanBegin(7, "prepare", /*partition=*/1);
+  sim.RunUntil(130);
+  tr.SpanEnd(7, "prepare", 1);
+  sim.RunUntil(140);
+  tr.Instant(7, "decide_commit", -1);
+  sim.RunUntil(150);
+  tr.SpanEnd(7, "never_opened", 5);  // unmatched close: dropped
+  sim.RunUntil(160);
+  tr.TxnEnd(7, "committed", obs::AbortCause::kNone);
 
   std::vector<obs::TxnTrace> traces = tr.Drain();
   ASSERT_EQ(traces.size(), 1u);
@@ -67,16 +79,17 @@ TEST(TracerTest, SpanLifecycleAndMatching) {
 }
 
 TEST(TracerTest, SamplingIsDeterministicAndGatesAllCalls) {
-  obs::Tracer a(obs::TraceOptions{true, /*sample_period=*/4});
-  obs::Tracer b(obs::TraceOptions{true, /*sample_period=*/4});
+  sim::Simulator sim;
+  obs::Tracer a(obs::TraceOptions{true, /*sample_period=*/4}, &sim);
+  obs::Tracer b(obs::TraceOptions{true, /*sample_period=*/4}, &sim);
   int sampled = 0;
   for (TxnId id = 1; id <= 256; ++id) {
     EXPECT_EQ(a.Sampled(id), b.Sampled(id)) << "id " << id;
     if (!a.Sampled(id)) {
       // Calls about unsampled (or never-begun) ids are ignored.
-      a.TxnBegin(id, 0, 10);
-      a.SpanBegin(id, "prepare", 0, 11);
-      a.TxnEnd(id, "committed", obs::AbortCause::kNone, 12);
+      a.TxnBegin(id, 0);
+      a.SpanBegin(id, "prepare", 0);
+      a.TxnEnd(id, "committed", obs::AbortCause::kNone);
     } else {
       ++sampled;
     }
@@ -87,30 +100,43 @@ TEST(TracerTest, SamplingIsDeterministicAndGatesAllCalls) {
   EXPECT_LT(sampled, 128);
 
   // Events for ids that were never begun are ignored too.
-  obs::Tracer c(obs::TraceOptions{true, 1});
-  c.SpanBegin(9, "prepare", 0, 10);
-  c.TxnEnd(9, "aborted", obs::AbortCause::kOccConflict, 11);
+  obs::Tracer c(obs::TraceOptions{true, 1}, &sim);
+  c.SpanBegin(9, "prepare", 0);
+  c.TxnEnd(9, "aborted", obs::AbortCause::kOccConflict);
   EXPECT_EQ(c.Drain().size(), 0u);
+
+  // A disabled tracer samples nothing and records nothing.
+  obs::Tracer off(obs::TraceOptions{false, 1}, &sim);
+  EXPECT_FALSE(off.Sampled(9));
+  off.TxnBegin(9, 0);
+  off.TxnEnd(9, "committed", obs::AbortCause::kNone);
+  EXPECT_EQ(off.Drain().size(), 0u);
 }
 
 TEST(TracerTest, FirstAbortAttributionWins) {
-  obs::Tracer tr(obs::TraceOptions{true, 1});
-  tr.TxnBegin(3, 0, 0);
+  sim::Simulator sim;
+  obs::Tracer tr(obs::TraceOptions{true, 1}, &sim);
+  tr.TxnBegin(3, 0);
   tr.AttributeAbort(3, obs::AbortCause::kOccConflict);
   tr.AttributeAbort(3, obs::AbortCause::kWound);  // later: ignored
   // The recorded cause also wins over the TxnEnd parameter.
-  tr.TxnEnd(3, "aborted", obs::AbortCause::kPriorityAbort, 5);
+  sim.RunUntil(5);
+  tr.TxnEnd(3, "aborted", obs::AbortCause::kPriorityAbort);
   std::vector<obs::TxnTrace> traces = tr.Drain();
   ASSERT_EQ(traces.size(), 1u);
   EXPECT_EQ(traces[0].cause, obs::AbortCause::kOccConflict);
 }
 
 TEST(TracerTest, DrainIsSortedByBeginTime) {
-  obs::Tracer tr(obs::TraceOptions{true, 1});
-  tr.TxnBegin(20, 0, 300);
-  tr.TxnBegin(10, 0, 100);
-  tr.TxnBegin(30, 0, 100);  // same time as 10: id breaks the tie
-  tr.TxnEnd(20, "committed", obs::AbortCause::kNone, 400);
+  sim::Simulator sim;
+  obs::Tracer tr(obs::TraceOptions{true, 1}, &sim);
+  sim.RunUntil(100);
+  tr.TxnBegin(30, 0);
+  tr.TxnBegin(10, 0);  // same time as 30: id breaks the tie
+  sim.RunUntil(300);
+  tr.TxnBegin(20, 0);
+  sim.RunUntil(400);
+  tr.TxnEnd(20, "committed", obs::AbortCause::kNone);
   std::vector<obs::TxnTrace> traces = tr.Drain();
   ASSERT_EQ(traces.size(), 3u);
   EXPECT_EQ(traces[0].id, 10u);
@@ -237,7 +263,6 @@ TEST(TraceEndToEndTest, CommittedTransactionHasLifecycleSpans) {
   cluster->simulator()->RunUntil(Seconds(5));
   ASSERT_TRUE(probe->committed());
 
-  ASSERT_NE(cluster->tracer(), nullptr);
   std::vector<obs::TxnTrace> traces = cluster->tracer()->Drain();
   ASSERT_EQ(traces.size(), 1u);
   const obs::TxnTrace& t = traces[0];

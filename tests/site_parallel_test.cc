@@ -1,10 +1,11 @@
 // Lockstep property test for the site-parallel kernel (DESIGN.md §4.11):
 // randomized deployments — 2..8 sites with random link delays, varying
 // partition/replica counts, every engine family — run once serially and
-// once per NATTO_SIM_THREADS in {2, 4, 8}. Every observable must match the
-// serial run exactly: the full-precision rendering of the run's stats
-// (every latency bit pattern, every counter), the complete metrics
-// snapshot, and the determinism-sanitizer digest trail. Chaos and
+// once per NATTO_SIM_THREADS in {2, 4, 8}, untraced and traced. Every
+// observable must match the serial run exactly: the full-precision
+// rendering of the run's stats (every latency bit pattern, every counter),
+// the complete metrics snapshot, the transaction traces, and the
+// determinism-sanitizer digest trail. Chaos and
 // gray-failure schedules run the same lockstep, but their configs are
 // ineligible, so every thread count runs the serial kernel there: those two
 // cases compare serial with serial and pin that sim_threads alone never
@@ -23,6 +24,7 @@
 #include "harness/systems.h"
 #include "net/latency_matrix.h"
 #include "net/transport.h"
+#include "obs/trace.h"
 #include "sim/dsan.h"
 #include "sim/parallel_kernel.h"
 #include "txn/cluster.h"
@@ -122,8 +124,10 @@ void ExpectLockstep(const ExperimentConfig& config, const System& system,
                     const std::string& label) {
   RunStats serial = RunAtThreads(config, system, 1);
   const std::string serial_rendered = Render(serial);
+  const std::string serial_traces = obs::TraceJsonLines(serial.traces);
   ASSERT_GT(serial.committed_high + serial.committed_low, 0)
       << label << ": trial simulated no traffic, the lockstep is vacuous";
+  ASSERT_EQ(serial_traces.empty(), !config.cluster.trace.enabled) << label;
   ASSERT_GT(serial.dsan.events, 0u) << label;
   ASSERT_GT(serial.dsan.rng_draws, 0u) << label;
   for (int threads : {2, 4, 8}) {
@@ -134,6 +138,8 @@ void ExpectLockstep(const ExperimentConfig& config, const System& system,
         << label << ": metrics snapshot diverged at NATTO_SIM_THREADS="
         << threads << "\nserial:   " << serial.metrics.ToJson()
         << "\nparallel: " << parallel.metrics.ToJson();
+    EXPECT_EQ(serial_traces, obs::TraceJsonLines(parallel.traces))
+        << label << ": traces diverged at NATTO_SIM_THREADS=" << threads;
     sim::DsanDivergence d = sim::DiffTrails(serial.dsan, parallel.dsan);
     EXPECT_TRUE(d.comparable) << label;
     EXPECT_FALSE(d.diverged)
@@ -156,9 +162,10 @@ void ExpectKernelMode(const ExperimentConfig& config, bool site_parallel,
   EXPECT_EQ(probe.simulator()->site_parallel(), site_parallel) << label;
 }
 
-TEST(SiteParallelTest, RandomTopologiesRunLockstepAcrossAllEngines) {
-  // Six protocol families (one representative each), six random
-  // deployments. The Rng is seeded, so failures reproduce exactly.
+/// Six protocol families (one representative each), six random
+/// deployments, each run in lockstep on the site-parallel kernel. The Rng is
+/// seeded, so failures reproduce exactly.
+void ExpectRandomTopologiesLockstep(bool traced) {
   Rng rng(0xa770155eedull);
   std::vector<System> systems = FailoverSystems();
   ASSERT_EQ(systems.size(), 6u);
@@ -171,12 +178,25 @@ TEST(SiteParallelTest, RandomTopologiesRunLockstepAcrossAllEngines) {
     config.num_partitions = partitions;
     config.num_replicas = replicas;
     config.seed = 1000 + i;
+    config.cluster.trace.enabled = traced;  // every transaction when on
     std::string label = systems[i].name + " sites=" + std::to_string(sites) +
                         " p=" + std::to_string(partitions) +
-                        " r=" + std::to_string(replicas);
+                        " r=" + std::to_string(replicas) +
+                        (traced ? " traced" : "");
     ExpectKernelMode(config, /*site_parallel=*/true, label);
     ExpectLockstep(config, systems[i], label);
   }
+}
+
+TEST(SiteParallelTest, RandomTopologiesRunLockstepAcrossAllEngines) {
+  ExpectRandomTopologiesLockstep(/*traced=*/false);
+}
+
+TEST(SiteParallelTest, TracedRandomTopologiesKeepTheKernelAndTheTraces) {
+  // Trace records go through DeferOrdered, so tracing is no eligibility
+  // term: the traced configs run on worker lanes and their traces match
+  // the serial run's byte for byte.
+  ExpectRandomTopologiesLockstep(/*traced=*/true);
 }
 
 TEST(SiteParallelTest, ChaosScheduleRunsLockstep) {
